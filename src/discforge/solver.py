@@ -250,14 +250,41 @@ def _default_n_out(d: int, k0: int, n_in: int) -> int:
     return d * (n_in + 2) + 2 * k0 + 8
 
 
+def _window(series: TrigSeries, n: int) -> np.ndarray:
+    """Coefficients of the modes ``-n .. n``, zero outside the series' carrier."""
+    return series.truncate(n).pad_to(n).coeffs
+
+
+def _add_modes(dst: np.ndarray, row0: int, modes: np.ndarray, sym: bool) -> None:
+    """Add complex mode values (along the first axis) to ``dst`` as stacked rows.
+
+    From ``row0`` on every mode takes a ``Re/Im`` pair of rows; with ``sym``
+    the first mode is mode 0 and takes only its real part, on one row.
+    """
+    if sym:
+        dst[row0] += modes[0].real
+        row0, modes = row0 + 1, modes[1:]
+    stop = row0 + 2 * len(modes)
+    dst[row0:stop:2] += modes.real
+    dst[row0 + 1 : stop : 2] += modes.imag
+
+
+def _nonzero_rows(matrix: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``matrix`` that hold at least one nonzero entry.
+
+    An exactly zero row ``i`` adds the constant ``f_i^2`` to ``|A x + f|^2``
+    and nothing to ``A^T A``: dropping it changes neither the least-squares
+    minimisers, nor which of them has the smallest norm, nor the singular
+    values.  No tolerance is involved, so the trimmed problem is the same
+    problem, only smaller.
+    """
+    return np.any(matrix, axis=1)
+
+
 def pack_series(htilde: TrigSeries, gtilde: TrigSeries, n_in: int) -> np.ndarray:
     out = np.zeros(4 * (n_in + 1))
-    for block, series in enumerate((htilde, gtilde)):
-        base = 2 * (n_in + 1) * block
-        for n in range(n_in + 1):
-            val = series.coeff(n)
-            out[base + 2 * n] = val.real
-            out[base + 2 * n + 1] = val.imag
+    for row0, series in ((0, htilde), (2 * (n_in + 1), gtilde)):
+        _add_modes(out, row0, _window(series, n_in)[n_in:], sym=False)
     return out
 
 
@@ -274,63 +301,36 @@ def unpack_series(x: np.ndarray, n_in: int) -> tuple[TrigSeries, TrigSeries]:
 
 def stack_value(val: OperatorValue, n_out: int) -> np.ndarray:
     out = np.zeros(6 * n_out + 1)
-    for block, series in enumerate((val.t1, val.t2)):
-        seg = out[2 * n_out * block : 2 * n_out * (block + 1)]
-        for n in range(1, n_out + 1):
-            v = series.coeff(-n)
-            seg[2 * n - 2] = v.real
-            seg[2 * n - 1] = v.imag
-    seg = out[4 * n_out :]
-    seg[0] = val.t3.coeff(0).real
-    for n in range(1, n_out + 1):
-        v = val.t3.coeff(n)
-        seg[2 * n - 1] = v.real
-        seg[2 * n] = v.imag
+    for row0, series in ((0, val.t1), (2 * n_out, val.t2)):
+        _add_modes(out, row0, _window(series, n_out)[n_out - 1 :: -1], sym=False)
+    _add_modes(out, 4 * n_out, _window(val.t3, n_out)[n_out:], sym=True)
     return out
 
 
-class _RowExtractor:
-    def __init__(self, n_out: int, reach: int):
-        self.n_out = n_out
-        self.pad = n_out + reach + 4
-        self.idx_neg = self.pad - np.arange(1, n_out + 1)
-        self.idx_sym = self.pad + np.arange(0, n_out + 1)
+@dataclass(frozen=True)
+class _Multipliers:
+    """Multiplier series of the linearization, one ``(lin, anti)`` pair per block.
 
-    def array(self, series: TrigSeries) -> np.ndarray:
-        return series.truncate(self.pad).pad_to(self.pad).coeffs
+    The column of the real direction ``zeta^n`` of ``ht`` (or ``gt``) is the
+    stacked value of ``lin zeta^n + anti zeta^-n`` in each of the T1, T2, T3
+    row blocks, the imaginary direction that of ``i lin zeta^n - i anti
+    zeta^-n``.  The weight direction ``2 Re zeta^n`` acts through ``weight``
+    (T1 and T2 only) in the same way, with ``lin = anti``.
+    """
 
-    def neg(self, arr: np.ndarray, shift: int) -> np.ndarray:
-        return arr[self.idx_neg - shift]
-
-    def sym(self, arr: np.ndarray, shift: int) -> np.ndarray:
-        return arr[self.idx_sym - shift]
-
-
-def _interleave_neg(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(2 * v.size)
-    out[0::2] = v.real
-    out[1::2] = v.imag
-    return out
+    h: tuple[tuple[TrigSeries, TrigSeries], ...]
+    g: tuple[tuple[TrigSeries, TrigSeries], ...]
+    weight: tuple[TrigSeries, TrigSeries] | None
 
 
-def _interleave_sym(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(2 * v.size - 1)
-    out[0] = v[0].real
-    out[1::2] = v[1:].real
-    out[2::2] = v[1:].imag
-    return out
-
-
-def _linearize(
+def _multipliers(
     defn: DefiningFunction,
     qfac: QFactorization,
     c: TrigSeries,
     htilde: TrigSeries,
     gtilde: TrigSeries,
-    n_in: int,
-    n_out: int,
-    n_weight: int | None,
-) -> LinearizedOperator:
+    with_weight: bool,
+) -> _Multipliers:
     d, k0 = defn.model.d, defn.model.k0
     cache = _factored_cache(htilde, gtilde)
 
@@ -344,7 +344,6 @@ def _linearize(
     m1_hlin = _over_s(weighted(fct(defn.rzz_mon(), 1)), qfac)
     m1_hanti = -_over_s(weighted(fct(defn.rzzbar_mon(), 1)), qfac).shift(-1)
     m1_g = _over_s(weighted(fct(d_u(defn.rz_mon()), 1)), qfac) * (-0.5j)
-    m1_glin, m1_ganti = m1_g, m1_g.shift(-1)
 
     h, hbar, img, _ = _plain_point(defn, htilde, gtilde)
 
@@ -354,7 +353,6 @@ def _linearize(
     m2_hlin = weighted(multiply(plain(defn.rzw_mon()), ONE_MINUS))
     m2_hanti = -weighted(multiply(plain(defn.rwzbar_mon()), ONE_MINUS)).shift(-1)
     m2_g = weighted(multiply(plain(d_u(defn.rw_mon())), ONE_MINUS)) * (-0.5j)
-    m2_glin, m2_ganti = m2_g, m2_g.shift(-1)
 
     s3z = plain(defn.rz_mon())
     s3u = plain(d_u(defn.big_r_mon()))
@@ -363,47 +361,51 @@ def _linearize(
     m3_glin = multiply(s3u * (-0.5j) + TrigSeries.constant(-0.5), ONE_MINUS)
     m3_ganti = multiply(s3u * (-0.5j) + TrigSeries.constant(0.5), ONE_MINUS).shift(-1)
 
-    reach = max(n_in, 0 if n_weight is None else n_weight)
-    ex = _RowExtractor(n_out, reach)
-    blocks = {
-        "h": [
-            (ex.array(m1_hlin), ex.array(m1_hanti), ex.neg, _interleave_neg, 0),
-            (ex.array(m2_hlin), ex.array(m2_hanti), ex.neg, _interleave_neg, 2 * n_out),
-            (ex.array(m3_hlin), ex.array(m3_hanti), ex.sym, _interleave_sym, 4 * n_out),
-        ],
-        "g": [
-            (ex.array(m1_glin), ex.array(m1_ganti), ex.neg, _interleave_neg, 0),
-            (ex.array(m2_glin), ex.array(m2_ganti), ex.neg, _interleave_neg, 2 * n_out),
-            (ex.array(m3_glin), ex.array(m3_ganti), ex.sym, _interleave_sym, 4 * n_out),
-        ],
-    }
+    weight = None
+    if with_weight:
+        weight = (_over_s(fct(defn.rz_mon(), 0).shift(k0), qfac), plain(defn.rw_mon()).shift(k0))
+    return _Multipliers(
+        h=((m1_hlin, m1_hanti), (m2_hlin, m2_hanti), (m3_hlin, m3_hanti)),
+        g=((m1_g, m1_g.shift(-1)), (m2_g, m2_g.shift(-1)), (m3_glin, m3_ganti)),
+        weight=weight,
+    )
 
+
+def _linearize(
+    defn: DefiningFunction,
+    qfac: QFactorization,
+    c: TrigSeries,
+    htilde: TrigSeries,
+    gtilde: TrigSeries,
+    n_in: int,
+    n_out: int,
+    n_weight: int | None,
+) -> LinearizedOperator:
+    mults = _multipliers(defn, qfac, c, htilde, gtilde, with_weight=n_weight is not None)
     n_wcols = 0 if n_weight is None else 2 * n_weight + 1
-    ncols = n_wcols + 4 * (n_in + 1)
-    a = np.zeros((6 * n_out + 1, ncols))
+    a = np.zeros((6 * n_out + 1, n_wcols + 4 * (n_in + 1)))
+
+    # window positions of the T1/T2 rows (modes -1 .. -n_out) and the T3 rows
+    # (modes 0 .. n_out); shifting a column by zeta^n moves them by -n
+    pad = n_out + max(n_in, n_weight or 0) + 4
+    neg = pad - np.arange(1, n_out + 1)[:, None]
+    sym = pad + np.arange(0, n_out + 1)[:, None]
+    row_blocks = ((0, neg, False), (2 * n_out, neg, False), (4 * n_out, sym, True))
+
+    def add_pairs(cols, pairs, ns):
+        # real direction on cols[0::2], imaginary direction on cols[1::2]
+        for (row0, idx, is_sym), (lin, anti) in zip(row_blocks, pairs):
+            up, down = _window(lin, pad)[idx - ns], _window(anti, pad)[idx + ns]
+            _add_modes(a[:, cols.start : cols.stop : 2], row0, up + down, is_sym)
+            _add_modes(a[:, cols.start + 1 : cols.stop : 2], row0, 1j * up - 1j * down, is_sym)
 
     if n_weight is not None:
-        m1_c = ex.array(_over_s(fct(defn.rz_mon(), 0).shift(k0), qfac))
-        m2_c = ex.array(plain(defn.rw_mon()).shift(k0))
-        for n in range(n_weight + 1):
-            for mult, row0 in ((m1_c, 0), (m2_c, 2 * n_out)):
-                up, down = ex.neg(mult, n), ex.neg(mult, -n)
-                rows = slice(row0, row0 + 2 * n_out)
-                if n == 0:
-                    a[rows, 0] += _interleave_neg(up)
-                else:
-                    a[rows, 2 * n - 1] += _interleave_neg(up + down)
-                    a[rows, 2 * n] += _interleave_neg(1j * up - 1j * down)
-
-    for bi, tag in enumerate(("h", "g")):
-        base = n_wcols + 2 * (n_in + 1) * bi
-        for m_lin, m_anti, extract, inter, row0 in blocks[tag]:
-            nrows = 2 * n_out if inter is _interleave_neg else 2 * n_out + 1
-            rows = slice(row0, row0 + nrows)
-            for n in range(n_in + 1):
-                up, down = extract(m_lin, n), extract(m_anti, -n)
-                a[rows, base + 2 * n] += inter(up + down)
-                a[rows, base + 2 * n + 1] += inter(1j * up - 1j * down)
+        for row0, series in zip((0, 2 * n_out), mults.weight):
+            _add_modes(a[:, :1], row0, _window(series, pad)[neg], sym=False)
+        add_pairs(slice(1, n_wcols), [(m, m) for m in mults.weight], np.arange(1, n_weight + 1))
+    ns = np.arange(n_in + 1)
+    add_pairs(slice(n_wcols, n_wcols + 2 * (n_in + 1)), mults.h, ns)
+    add_pairs(slice(n_wcols + 2 * (n_in + 1), a.shape[1]), mults.g, ns)
     return LinearizedOperator(a, n_in, n_out, n_weight)
 
 
@@ -440,9 +442,11 @@ def kernel_dim_svd(op, threshold: float = 1e-8) -> int:
 
     Requires the spectrum to separate cleanly (factor 10 across the cut);
     otherwise the count would be grid noise and the call fails instead.
+    The SVD runs on the rows that are not exactly zero: dropping a zero row
+    leaves every nonzero singular value, and so the rank, as it is.
     """
     matrix = op.matrix if hasattr(op, "matrix") else np.asarray(op)
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+    sigma = np.linalg.svd(matrix[_nonzero_rows(matrix)], compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0:
         return matrix.shape[1]
     cut = threshold * sigma[0]
@@ -500,6 +504,10 @@ def kernel_basis_p0(
     correction by least squares; the homogeneous block is the complex span of
     the constant and one truncated binomial tail per inside root and order,
     with the ``g`` component completed through the boundary real-part solve.
+    The weight corrections come from one multi-right-hand-side solve on the
+    rows where the ``(h, g)`` block is not exactly zero; on the other rows
+    the residual does not depend on the correction, so the minimal-norm
+    solutions are those of the full system.
     """
     d, k0 = model.d, model.k0
     defn = DefiningFunction.pure(model)
@@ -507,15 +515,11 @@ def kernel_basis_p0(
     op = linearize_at(defn, disc, qfac, n_in=n_in, n_weight=k0)
     matrix = op.matrix
     hg = matrix[:, op.hg_cols]
-
-    raw = []
-    for widx in range(2 * k0 + 1):
-        rhs = -matrix[:, widx]
-        sol, *_ = np.linalg.lstsq(hg, rhs, rcond=threshold)
-        vec = np.zeros(matrix.shape[1])
-        vec[widx] = 1.0
-        vec[op.hg_cols] = sol
-        raw.append(vec)
+    keep = _nonzero_rows(hg)
+    sol, *_ = np.linalg.lstsq(hg[keep], -matrix[keep, op.weight_cols], rcond=threshold)
+    weight_dirs = np.eye(2 * k0 + 1, matrix.shape[1])
+    weight_dirs[:, op.hg_cols] = sol.T
+    raw = list(weight_dirs)
 
     htilde0 = divide_one_minus_zeta(disc.h).pad_to(n_in)
     h0, h0bar, img0, _ = _plain_point(defn, htilde0, divide_one_minus_zeta(disc.g))
@@ -590,8 +594,13 @@ def solve_newton(
 
     Unknowns are the analytic coefficients of ``ht, gt``; steps are
     minimal-norm least-squares solutions, which pins the in-fiber freedom (the
-    update never moves along the residual kernel).  Convergence is declared on
-    the reduced residual and re-checked with the plain substitution residual.
+    update never moves along the residual kernel).  Each step is solved on the
+    Jacobian rows that are not exactly zero (about half of them; the whole T2
+    block when the perturbation does not involve ``u``).  Such a row adds a
+    constant to the squared residual, so the minimal-norm step is the one of
+    the full system; the line search and the convergence test use the full
+    residual.  Convergence is declared on the reduced residual and re-checked
+    with the plain substitution residual.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -611,8 +620,13 @@ def solve_newton(
     history = [float(np.max(np.abs(f)))]
     iterations = 0
     while history[-1] >= inner_tol and iterations < opts.max_iter:
-        op = _linearize(r, qfac, c, htilde, gtilde, n_in, n_out, n_weight=None)
-        delta, *_ = np.linalg.lstsq(op.matrix, -f, rcond=opts.svd_threshold)
+        jac = _linearize(r, qfac, c, htilde, gtilde, n_in, n_out, n_weight=None).matrix
+        keep = _nonzero_rows(jac)
+        # release the full matrix before the solve, the trimmed one after it:
+        # neither then lives on through the next assembly
+        jac = jac[keep]
+        delta, *_ = np.linalg.lstsq(jac, -f[keep], rcond=opts.svd_threshold)
+        del jac
         phi0 = float(f @ f)
         alpha = 1.0
         while True:

@@ -20,7 +20,15 @@ from discforge.solver import (
     stack_value,
     unpack_series,
 )
-from discforge.solver import _linearize, _operator_value, _weight_from_coords
+from discforge import solver
+from discforge.solver import (
+    _default_n_out,
+    _linearize,
+    _multipliers,
+    _nonzero_rows,
+    _operator_value,
+    _weight_from_coords,
+)
 
 
 def _abs_power(d):
@@ -56,7 +64,10 @@ def test_pack_unpack_round_trip():
     x = rng.standard_normal(4 * 7)
     ht, gt = unpack_series(x, 6)
     assert ht.is_analytic(0)
-    assert np.allclose(pack_series(ht, gt, 6), x)
+    assert np.array_equal(pack_series(ht, gt, 6), x)
+    for n_in in (3, 9):  # truncating and padding, against a per-mode loop
+        ref = [part for s in (ht, gt) for n in range(n_in + 1) for part in (s.coeff(n).real, s.coeff(n).imag)]
+        assert np.array_equal(pack_series(ht, gt, n_in), ref)
 
 
 def test_operator_vanishes_at_model_discs():
@@ -215,6 +226,110 @@ def test_linearized_columns_at_base_frozen():
     assert np.max(np.abs(op.matrix[: 2 * n_out, 0])) < 1e-12  # constant weight
 
 
+_PERTURBATIONS = {
+    0: (PerturbationTerm(3, 2, 0, {(0, 0): 0.01}),),
+    1: (PerturbationTerm(2, 1, 1, {(0, 0): 0.005 + 0.002j}),),
+}
+
+
+def _perturbed_point(l, n_in=12):
+    """A d=4, k0=3 defining function with an ``u^l`` term, and a point off the model discs."""
+    model = _model_d4k3()
+    r = DefiningFunction(model, _PERTURBATIONS[l], {})
+    disc = model_disc(model, ModelDiscParams(0.15 - 0.1j, 0.8), n_max=16)
+    base = pack_series(
+        divide_one_minus_zeta(disc.h).truncate(n_in).pad_to(n_in),
+        divide_one_minus_zeta(disc.g).truncate(n_in).pad_to(n_in),
+        n_in,
+    )
+    rng = np.random.default_rng(3)
+    ht, gt = unpack_series(base + rng.standard_normal(base.size) * 0.01, n_in)
+    return r, factor_Q(model), disc.c, ht, gt
+
+
+def _stack_reference(t1, t2, t3, n_out):
+    """The row layout of ``stack_value``, mode by mode."""
+    out = np.zeros(6 * n_out + 1)
+    for block, series in enumerate((t1, t2)):
+        for n in range(1, n_out + 1):
+            v = series.coeff(-n)
+            out[2 * n_out * block + 2 * n - 2] = v.real
+            out[2 * n_out * block + 2 * n - 1] = v.imag
+    out[4 * n_out] = t3.coeff(0).real
+    for n in range(1, n_out + 1):
+        v = t3.coeff(n)
+        out[4 * n_out + 2 * n - 1] = v.real
+        out[4 * n_out + 2 * n] = v.imag
+    return out
+
+
+def _linearize_reference(mults, n_in, n_out, n_weight):
+    """The Jacobian column by column, from shifted multiplier series."""
+    zero = TrigSeries.zero()
+
+    def column(pairs, n, imaginary):
+        blocks = []
+        for lin, anti in pairs:
+            up, down = lin.shift(n), anti.shift(-n)
+            blocks.append(up * 1j - down * 1j if imaginary else up + down)
+        return _stack_reference(*blocks, *[zero] * (3 - len(blocks)), n_out)
+
+    cols = []
+    if n_weight is not None:
+        cols.append(_stack_reference(*mults.weight, zero, n_out))
+        pairs = [(m, m) for m in mults.weight]
+        cols += [column(pairs, n, im) for n in range(1, n_weight + 1) for im in (False, True)]
+    for pairs in (mults.h, mults.g):
+        cols += [column(pairs, n, im) for n in range(n_in + 1) for im in (False, True)]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("with_weight", [False, True])
+def test_assembly_matches_per_column_reference(l, with_weight):
+    r, qfac, c, ht, gt = _perturbed_point(l)
+    n_in, n_out = 12, _default_n_out(4, 3, 12)
+    n_weight = r.model.k0 if with_weight else None
+    op = _linearize(r, qfac, c, ht, gt, n_in, n_out, n_weight)
+    mults = _multipliers(r, qfac, c, ht, gt, with_weight)
+    assert np.array_equal(op.matrix, _linearize_reference(mults, n_in, n_out, n_weight))
+    val = _operator_value(r, qfac, c, ht, gt)
+    for n in (5, n_out):  # truncating and padding the value series
+        assert np.array_equal(stack_value(val, n), _stack_reference(val.t1, val.t2, val.t3, n))
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_zero_rows_trimmed_exactly(l):
+    r, qfac, c, ht, gt = _perturbed_point(l)
+    n_in, n_out = 12, _default_n_out(4, 3, 12)
+    matrix = _linearize(r, qfac, c, ht, gt, n_in, n_out, None).matrix
+    t2 = matrix[2 * n_out : 4 * n_out]
+    # a u-free perturbation leaves r_w constant, so every T2 multiplier vanishes;
+    # a u-term fills the block, so the rows to drop must come from the data
+    assert t2.any() == (l == 1)
+    keep = _nonzero_rows(matrix)
+    assert not matrix[~keep].any() and np.all(matrix[keep].any(axis=1))
+    f = stack_value(_operator_value(r, qfac, c, ht, gt), n_out)
+    rcond = SolverOptions().svd_threshold
+    full, *_ = np.linalg.lstsq(matrix, -f, rcond=rcond)
+    trimmed, *_ = np.linalg.lstsq(matrix[keep], -f[keep], rcond=rcond)
+    assert np.linalg.norm(trimmed - full) <= 1e-12 * np.linalg.norm(full)
+
+
+def test_newton_on_trimmed_rows_matches_full_rows(monkeypatch):
+    model = _model_d4k3()
+    qfac = factor_Q(model)
+    r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(0.1j, 1.0), n_max=48)
+    opts = SolverOptions(n_max=48)
+    trimmed = solve_newton(r, qfac, 0.1j, init, opts)
+    monkeypatch.setattr(solver, "_nonzero_rows", lambda m: np.ones(m.shape[0], dtype=bool))
+    full = solve_newton(r, qfac, 0.1j, init, opts)
+    assert trimmed.iterations == full.iterations > 0
+    assert coeff_distance(trimmed.disc.h, full.disc.h) < 1e-10
+    assert coeff_distance(trimmed.disc.g, full.disc.g) < 1e-10
+
+
 def test_kernel_dimension_by_svd():
     for model, expected in (
         (_abs_power(2), 5),
@@ -226,6 +341,13 @@ def test_kernel_dimension_by_svd():
         op = linearize_at(_pure(model), disc, qfac, n_in=48, n_weight=model.k0)
         assert kernel_dim_svd(op) == expected
         assert expected == 4 * model.k0 - model.d + 3
+        # interleaved zero rows change no singular value
+        padded = np.insert(op.matrix, np.arange(0, op.matrix.shape[0], 2), 0.0, axis=0)
+        assert kernel_dim_svd(padded) == expected
+    # fewer nonzero rows than columns: the rank is that of the nonzero rows
+    wide = np.zeros((6, 3))
+    wide[1, 0] = wide[4, 1] = 1.0
+    assert kernel_dim_svd(wide) == 1
 
 
 def test_kernel_dim_requires_clean_gap():
