@@ -25,9 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual
-from .exceptions import ConfigError, NumericalError
-from .jets import determination_experiment, jet_map, jet_matrix, jet_reconstruct, surjectivity_gap
+from .discs import ModelDiscParams, model_disc, stationarity_residual
+from .exceptions import ConfigError, NumericalError, strict_keys
+from .jets import (
+    _pair,
+    determination_experiment,
+    jet_map,
+    jet_matrix,
+    jet_reconstruct,
+    surjectivity_gap,
+)
 from .model import (
     ModelPolynomial,
     check_subharmonic,
@@ -75,12 +82,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data, command: str) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("run config must be a JSON object")
-        extra = set(data) - _TOP_KEYS
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        if int(data.get("schema", SCHEMA_VERSION)) != SCHEMA_VERSION:
+        strict_keys(data, _TOP_KEYS, "config")
+        if _number(data.get("schema", SCHEMA_VERSION), int, "schema") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema (expected {SCHEMA_VERSION})")
         if "model" not in data:
             raise ConfigError("run config needs a model")
@@ -89,30 +92,22 @@ class RunConfig:
             defn = DefiningFunction.from_dict(model, data["perturbation"])
         else:
             defn = DefiningFunction.pure(model)
-        solver = data.get("solver", {})
-        if not isinstance(solver, dict):
-            raise ConfigError("solver options must be a JSON object")
-        opts = SolverOptions.from_dict(solver)
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params must be a JSON object")
-        bad = set(params) - _PARAM_KEYS[command]
-        if bad:
-            raise ConfigError(f"unknown {command} parameter keys: {sorted(bad)}")
+        opts = SolverOptions.from_dict(data.get("solver", {}))
+        params = strict_keys(data.get("params", {}), _PARAM_KEYS[command], f"{command} parameter")
         return cls(model, defn, opts, dict(params))
 
     def disc_params(self) -> ModelDiscParams:
         if "disc" not in self.params:
             raise ConfigError("this command needs params.disc with b, v (and theta)")
-        block = self.params["disc"]
-        if not isinstance(block, dict):
-            raise ConfigError("params.disc must be a JSON object")
-        return ModelDiscParams.from_dict(block)
+        return ModelDiscParams.from_dict(self.params["disc"])
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _number(value, kind: type, what: str):
+    """``value`` as an int or float (``kind``); anything else is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number: {exc}") from None
 
 
 def _series_modes(series) -> list[list[float]]:
@@ -150,11 +145,11 @@ def cmd_analyze(cfg: RunConfig) -> dict:
 
 def cmd_disc(cfg: RunConfig) -> dict:
     p = cfg.disc_params()
-    disc = model_disc(cfg.model, p, n_max=cfg.opts.n_max)
-    res = stationarity_residual(disc, cfg.defn)
-    samples = int(cfg.params.get("samples", 64))
+    samples = _number(cfg.params.get("samples", 64), int, "params.samples")
     if samples < 1:
         raise ConfigError("params.samples must be positive")
+    disc = model_disc(cfg.model, p, n_max=cfg.opts.n_max)
+    res = stationarity_residual(disc, cfg.defn)
     trace = disc.boundary_samples(samples)
     rows = [
         (a, c, h.real, h.imag, g.real, g.imag)
@@ -240,7 +235,7 @@ def cmd_jet(cfg: RunConfig) -> dict:
 
 
 def cmd_gap(cfg: RunConfig) -> dict:
-    n_angles = int(cfg.params.get("n_angles", 64))
+    n_angles = _number(cfg.params.get("n_angles", 64), int, "params.n_angles")
     if n_angles < 1:
         raise ConfigError("params.n_angles must be positive")
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
@@ -259,17 +254,17 @@ def cmd_determine(cfg: RunConfig) -> dict:
     if "map" not in cfg.params:
         raise ConfigError("determine needs params.map (the biholomorphism)")
     h_map = BiholoMap.from_dict(cfg.params["map"])
-    qfac = factor_Q(cfg.model)
     kwargs = {}
     if "t" in cfg.params:
-        kwargs["t"] = float(cfg.params["t"])
+        kwargs["t"] = _number(cfg.params["t"], float, "params.t")
     if "b_values" in cfg.params:
         try:
             kwargs["b_values"] = tuple(complex(re, im) for re, im in cfg.params["b_values"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"params.b_values must be [re, im] pairs: {exc}") from None
     if "boundary_tol" in cfg.params:
-        kwargs["boundary_tol"] = float(cfg.params["boundary_tol"])
+        kwargs["boundary_tol"] = _number(cfg.params["boundary_tol"], float, "params.boundary_tol")
+    qfac = factor_Q(cfg.model)
     report = determination_experiment(cfg.defn, h_map, qfac, cfg.opts, **kwargs)
     return {"determine.json": report}
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, strict_keys
 from .model import ModelPolynomial
-from .perturb import DefiningFunction
-from .series import TrigSeries, analytic_from_real_part
+from .perturb import DefiningFunction, eval_mon
+from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part
 
 __all__ = [
     "ModelDiscParams",
@@ -79,10 +79,7 @@ class ModelDiscParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelDiscParams":
-        allowed = {"b", "v", "theta"}
-        extra = set(data) - allowed
-        if extra:
-            raise ConfigError(f"unknown disc parameter keys: {sorted(extra)}")
+        strict_keys(data, {"b", "v", "theta"}, "disc parameter")
         try:
             b = complex(*data["b"])
             v = complex(*data["v"])
@@ -124,10 +121,7 @@ class LiftedDisc:
 
     @classmethod
     def from_dict(cls, data: dict, validate: bool = True) -> "LiftedDisc":
-        allowed = {"c", "h", "g"}
-        extra = set(data) - allowed
-        if extra:
-            raise ConfigError(f"unknown disc keys: {sorted(extra)}")
+        strict_keys(data, {"c", "h", "g"}, "disc")
         try:
             return cls(
                 TrigSeries.from_dict(data["c"]),
@@ -167,40 +161,26 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     ratio = np.conj(mobius_a(params.b))
     v = params.v * np.exp(1j * params.theta)
     geo = TrigSeries.geometric(ratio, n_max) if ratio != 0 else TrigSeries.constant(1.0)
-    one_minus = TrigSeries.from_mode_dict({0: 1.0, 1: -1.0})
-    h = (geo * one_minus).truncate(n_max) * v
+    h = (geo * ONE_MINUS).truncate(n_max) * v
     h = h + TrigSeries.constant(-h.evaluate(1.0))
     c = weight_series(params.b, model.k0)
 
-    hbar = h.conjugate()
-    pows_h = {0: TrigSeries.constant(1.0)}
-    for j in range(1, model.d + 1):
-        pows_h[j] = pows_h[j - 1] * h
+    ph = Powers(h)
     p = TrigSeries.zero(0)
     for j, alpha in model.alpha.items():
-        p = p + (pows_h[j] * pows_h[model.d - j].conjugate()) * alpha
+        p = p + (ph[j] * ph[model.d - j].conjugate()) * alpha
     g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs), tol=1e-9)
     return LiftedDisc(c, h, g)
 
 
 def substitute_boundary(mon: dict, h: TrigSeries, hbar: TrigSeries, img: TrigSeries) -> TrigSeries:
     """Boundary trace of a trivariate polynomial along ``(h, conj h, Im g)``."""
-    cache: dict[tuple[str, int], TrigSeries] = {}
-
-    def pow_of(tag, base, n):
-        key = (tag, n)
-        if key not in cache:
-            if n == 0:
-                cache[key] = TrigSeries.constant(1.0)
-            else:
-                cache[key] = pow_of(tag, base, n - 1) * base
-        return cache[key]
-
+    ph, phb, pu = Powers(h), Powers(hbar), Powers(img)
     total = TrigSeries.zero(0)
     for (a, b, e), coeff in mon.items():
-        term = pow_of("h", h, a) * pow_of("hb", hbar, b)
+        term = ph[a] * phb[b]
         if e:
-            term = term * pow_of("u", img, e)
+            term = term * pu[e]
         total = total + term * coeff
     return total
 
@@ -249,14 +229,6 @@ def cauchy_center(disc: LiftedDisc, defn: DefiningFunction, num: int | None = No
     pts = np.exp(1j * angles)
     hv = disc.h.evaluate(pts)
     gv = disc.g.evaluate(pts)
-    p = _eval_trivariate(defn.big_r_mon(), hv, gv.imag)
+    p = eval_mon(defn.big_r_mon(), hv, np.conj(hv), gv.imag)
     integrand = p / (1.0 - pts)
     return complex(np.sum(integrand) * (2.0 / num))
-
-
-def _eval_trivariate(mon: dict, zv: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(zv, dtype=complex)
-    zb = np.conj(zv)
-    for (a, b, e), c in mon.items():
-        total += c * zv**a * zb**b * uv**e
-    return total

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the strict key check of config sections.
 
 ``ConfigError`` marks bad user input (CLI exit code 2); ``NumericalError``
 marks a computation that ran but failed its own quality gates (exit code 1).
@@ -18,3 +18,16 @@ class ConfigError(DiscforgeError):
 class NumericalError(DiscforgeError):
     """A numerical procedure failed: no convergence, unresolved truncation,
     singular system, or a mathematical precondition broken at runtime."""
+
+
+def strict_keys(data, allowed, what: str) -> dict:
+    """Return ``data`` if it is a JSON object whose keys all lie in ``allowed``.
+
+    ``what`` names the section in the error: "unknown <what> keys: [...]".
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} data must be a JSON object")
+    extra = set(data) - allowed
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    return data

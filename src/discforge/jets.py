@@ -29,7 +29,7 @@ from .perturb import (
     dilate_map,
     x_norm_distance,
 )
-from .series import TrigSeries, coeff_distance, multiply
+from .series import ONE_MINUS, TrigSeries, coeff_distance, multiply
 from .solver import SolverOptions, binomial_tail, solve_newton
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "surjectivity_gap",
     "determination_experiment",
 ]
-
-ONE_MINUS = TrigSeries.from_mode_dict({0: 1.0, 1: -1.0})
 
 
 def jet_map(h: TrigSeries, n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ dimensions and jet bases downstream.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class ModelPolynomial:
             if not (d - k0 <= j <= k0):
                 raise ConfigError(f"coefficient index {j} outside [d-k0, k0]")
             full[j] = complex(v)
+            if not cmath.isfinite(full[j]):
+                raise ConfigError(f"coefficient a[{j}] must be finite")
         for j in range(d - k0, k0 + 1):
             full.setdefault(j, 0.0 + 0.0j)
         for j in list(full):
@@ -79,11 +82,6 @@ class ModelPolynomial:
 
     # ---- pointwise evaluation (vectorized over z) ----------------------
 
-    def eval_P(self, z):
-        z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        return sum(a * z**j * zb ** (self.d - j) for j, a in self.alpha.items())
-
     def eval_Pz(self, z):
         z = np.asarray(z, dtype=complex)
         zb = np.conj(z)
@@ -91,15 +89,6 @@ class ModelPolynomial:
 
     def eval_Pzbar(self, z):
         return np.conj(self.eval_Pz(z))
-
-    def eval_Pzz(self, z):
-        z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        return sum(
-            j * (j - 1) * a * z ** (j - 2) * zb ** (self.d - j)
-            for j, a in self.alpha.items()
-            if j >= 2
-        )
 
     def eval_Pzzbar(self, z):
         z = np.asarray(z, dtype=complex)
@@ -121,18 +110,17 @@ class ModelPolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelPolynomial":
+        upper: dict[int, complex] = {}
         try:
             d = int(data["d"])
             k0 = int(data["k0"])
-            entries = data["alpha"]
-        except (KeyError, TypeError, ValueError) as exc:
+            for item in data["alpha"]:
+                j = int(item["j"])
+                if 2 * j < d:
+                    raise ConfigError("model data lists only j >= d/2; mirrors are derived")
+                upper[j] = float(item["re"]) + 1j * float(item.get("im", 0.0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed model data: {exc}") from None
-        upper: dict[int, complex] = {}
-        for item in entries:
-            j = int(item["j"])
-            if 2 * j < d:
-                raise ConfigError("model data lists only j >= d/2; mirrors are derived")
-            upper[j] = float(item["re"]) + 1j * float(item.get("im", 0.0))
         return cls.from_upper(d, k0, upper)
 
 
@@ -213,32 +201,6 @@ class QFactorization:
 
     def q_poly(self) -> TrigSeries:
         return multiply(self.s_poly(), self.t_poly()).shift(1).scale(self.constant)
-
-    def reciprocal_s(self, n_max: int) -> tuple[TrigSeries, float]:
-        """Truncated power series of ``1/s`` with a geometric tail bound.
-
-        Valid because every root of ``s`` lies outside the closed disc; the
-        coefficients obey the usual long-division recursion.
-        """
-        s = self.s_poly()
-        deg = s.n_max
-        sc = s.coeffs[deg:]
-        inv = np.zeros(n_max + 1, dtype=complex)
-        inv[0] = 1.0 / sc[0]
-        for n in range(1, n_max + 1):
-            acc = 0.0 + 0.0j
-            for k in range(1, min(n, deg) + 1):
-                acc += sc[k] * inv[n - k]
-            inv[n] = -acc / sc[0]
-        if self.roots_outside:
-            rho = min(abs(q) for q in self.roots_outside)
-            # |coeff_n| decays like rho^-n; bound the dropped mass crudely
-            tail = float(abs(inv[-1]) * (1.0 / rho) / max(1e-300, 1.0 - 1.0 / rho))
-        else:
-            tail = 0.0
-        arr = np.zeros(2 * n_max + 1, dtype=complex)
-        arr[n_max:] = inv
-        return TrigSeries(arr), tail
 
 
 def _polish_root(poly: np.ndarray, root: complex, multiplicity: int) -> complex:

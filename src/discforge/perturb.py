@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, strict_keys
 from .model import ModelPolynomial
-from .series import TrigSeries, multiply
+from .series import Powers, TrigSeries, multiply
 
 __all__ = [
     "PerturbationTerm",
@@ -39,6 +39,7 @@ __all__ = [
     "d_z",
     "d_zbar",
     "d_u",
+    "eval_mon",
 ]
 
 MAX_POLY_DEGREE = 8
@@ -62,7 +63,8 @@ def _scaled(mon: dict, factor: complex) -> dict:
     return {key: factor * c for key, c in mon.items()}
 
 
-def _eval_mon(mon: dict, z, zbar, u):
+def eval_mon(mon: dict, z, zbar, u):
+    """Pointwise value of a trivariate monomial dict at ``(z, zbar, u)``."""
     total = 0.0
     for (a, b, e), c in mon.items():
         total = total + c * z**a * zbar**b * u**e
@@ -97,7 +99,7 @@ class PerturbationTerm:
         object.__setattr__(self, "coeffs", clean)
 
 
-def _theta_dict(d: int, terms, theta1) -> dict:
+def _theta_dict(terms, theta1) -> dict:
     """Flatten stored blocks plus their Hermitian mirrors into one trivariate dict."""
     out: dict[tuple[int, int, int], complex] = {}
 
@@ -157,14 +159,10 @@ class DefiningFunction:
     def pure(cls, model: ModelPolynomial) -> "DefiningFunction":
         return cls(model)
 
-    @property
-    def is_pure(self) -> bool:
-        return not self.terms and not self.theta1
-
     # ---- trivariate views -------------------------------------------------
 
     def theta_mon(self) -> dict:
-        return _theta_dict(self.model.d, self.terms, self.theta1)
+        return _theta_dict(self.terms, self.theta1)
 
     def big_r_mon(self) -> dict:
         """Model plus theta: everything except the ``-Re w`` part."""
@@ -186,14 +184,6 @@ class DefiningFunction:
         out[(0, 0, 0)] = out.get((0, 0, 0), 0.0 + 0.0j) - 0.5
         return out
 
-    def rwbar_mon(self) -> dict:
-        out = _scaled(d_u(self.big_r_mon()), 0.5j)
-        out[(0, 0, 0)] = out.get((0, 0, 0), 0.0 + 0.0j) - 0.5
-        return out
-
-    def rzbar_mon(self) -> dict:
-        return d_zbar(self.big_r_mon())
-
     def rzz_mon(self) -> dict:
         return d_z(d_z(self.big_r_mon()))
 
@@ -203,35 +193,16 @@ class DefiningFunction:
     def rzw_mon(self) -> dict:
         return _scaled(d_u(d_z(self.big_r_mon())), -0.5j)
 
-    def rzwbar_mon(self) -> dict:
-        return _scaled(d_u(d_z(self.big_r_mon())), 0.5j)
-
     def rwzbar_mon(self) -> dict:
         return _scaled(d_u(d_zbar(self.big_r_mon())), -0.5j)
-
-    def rww_mon(self) -> dict:
-        return _scaled(d_u(d_u(self.big_r_mon())), -0.25)
-
-    def rwwbar_mon(self) -> dict:
-        return _scaled(d_u(d_u(self.big_r_mon())), 0.25)
 
     # ---- pointwise evaluation ----------------------------------------------
 
     def eval_r(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        val = -w.real + _eval_mon(self.big_r_mon(), z, np.conj(z), w.imag)
+        val = -w.real + eval_mon(self.big_r_mon(), z, np.conj(z), w.imag)
         return val.real if np.iscomplexobj(val) else val
-
-    def eval_r_z(self, z, w):
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        return _eval_mon(self.rz_mon(), z, np.conj(z), w.imag)
-
-    def eval_r_w(self, z, w):
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        return _eval_mon(self.rw_mon(), z, np.conj(z), w.imag)
 
     # ---- serialization -------------------------------------------------------
 
@@ -245,20 +216,17 @@ class DefiningFunction:
 
     @classmethod
     def from_dict(cls, model: ModelPolynomial, data: dict) -> "DefiningFunction":
-        allowed = {"terms", "theta1"}
-        extra = set(data) - allowed
-        if extra:
-            raise ConfigError(f"unknown perturbation keys: {sorted(extra)}")
+        strict_keys(data, {"terms", "theta1"}, "perturbation")
         terms = []
-        for item in data.get("terms", []):
-            try:
+        try:
+            for item in data.get("terms", []):
                 coeffs = {(int(m), int(n)): re + 1j * im for m, n, re, im in item["coeffs"]}
                 terms.append(
                     PerturbationTerm(int(item["i"]), int(item["j"]), int(item["l"]), coeffs)
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"malformed perturbation term: {exc}") from None
-        theta1 = {int(deg): float(val) for deg, val in data.get("theta1", [])}
+            theta1 = {int(deg): float(val) for deg, val in data.get("theta1", [])}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed perturbation: {exc}") from None
         return cls(model, tuple(terms), theta1)
 
 
@@ -373,10 +341,7 @@ class BiholoMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BiholoMap":
-        allowed = {"d", "H1", "H2"}
-        extra = set(data) - allowed
-        if extra:
-            raise ConfigError(f"unknown map keys: {sorted(extra)}")
+        strict_keys(data, {"d", "H1", "H2"}, "map")
         try:
             h1 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H1"]}
             h2 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H2"]}
@@ -420,18 +385,11 @@ def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
         bound = max(float(np.max(np.abs(s.sample(512)))) for s in (h, g))
         if bound > h_map.domain_radius:
             raise ConfigError("disc leaves the domain of the map")
-    powers: dict[tuple[str, int], TrigSeries] = {}
-
-    def power(tag, base, n):
-        key = (tag, n)
-        if key not in powers:
-            powers[key] = TrigSeries.constant(1.0) if n == 0 else multiply(power(tag, base, n - 1), base)
-        return powers[key]
-
+    ph, pg = Powers(h), Powers(g)
     out = []
     for mono in (h_map.h1, h_map.h2):
         acc = TrigSeries.zero(0)
         for (j, l), c in sorted(mono.items()):
-            acc = acc + multiply(power("h", h, j), power("g", g, l)) * c
+            acc = acc + multiply(ph[j], pg[l]) * c
         out.append(acc.trimmed(0.0))
     return out[0], out[1]

@@ -146,12 +146,6 @@ class TrigSeries:
             return True
         return bool(np.max(np.abs(self.coeffs[:k])) <= tol)
 
-    def is_coanalytic(self, tol: float = 0.0) -> bool:
-        k = self.n_max
-        if k == 0:
-            return True
-        return bool(np.max(np.abs(self.coeffs[k + 1 :])) <= tol)
-
     # ---- algebra ---------------------------------------------------------
 
     def __add__(self, other: "TrigSeries") -> "TrigSeries":
@@ -299,6 +293,26 @@ class TrigSeries:
 
 
 # ---- module-level operations ------------------------------------------------
+
+ONE_MINUS = TrigSeries.from_mode_dict({0: 1.0, 1: -1.0})
+
+
+class Powers:
+    """The powers ``base^n`` of one series, each built once and on demand.
+
+    Power ``n`` is ``multiply(base^(n-1), base)``; power 0 is the constant 1
+    and power 1 is ``base`` itself.  Every monomial substitution (boundary
+    traces, the factored operator, disc composition) reads its powers here.
+    """
+
+    def __init__(self, base: TrigSeries):
+        self._pows = [TrigSeries.constant(1.0), base]
+
+    def __getitem__(self, n: int) -> TrigSeries:
+        pows = self._pows
+        while len(pows) <= n:
+            pows.append(multiply(pows[-1], pows[1]))
+        return pows[n]
 
 
 def multiply(a: TrigSeries, b: TrigSeries) -> TrigSeries:

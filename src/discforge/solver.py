@@ -13,7 +13,9 @@ symbolically: with ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` and
 ``conj(1 - zeta) = -conj(zeta) (1 - zeta)`` every monomial ``z^a zbar^b u^e``
 of a derivative of ``r`` contributes a clean power ``(1 - zeta)^(a+b+e)``, so
 the quotient is polynomial; only the division by ``s`` is numerical (pointwise
-on circle samples, where ``s`` does not vanish).
+on circle samples, where ``s`` does not vanish).  The powers of ``1 - zeta``,
+``ht``, ``conj(ht)`` and the ``Im g`` factor come from ``series.Powers``, the
+power cache that every monomial substitution in the package shares.
 
 The linearization is assembled from multiplier series and index shifts, never
 from finite differences; a difference quotient appears only in the tests as an
@@ -35,10 +37,12 @@ from .discs import (
     substitute_boundary,
     weight_series,
 )
-from .exceptions import ConfigError, NumericalError
+from .exceptions import ConfigError, NumericalError, strict_keys
 from .model import QFactorization
 from .perturb import DefiningFunction, d_u, x_norm_distance
 from .series import (
+    ONE_MINUS,
+    Powers,
     TrigSeries,
     analytic_from_real_part,
     divide_one_minus_zeta,
@@ -60,9 +64,6 @@ __all__ = [
     "binomial_tail",
     "solve_newton",
 ]
-
-ONE_MINUS = TrigSeries.from_mode_dict({0: 1.0, 1: -1.0})
-
 
 @dataclass(frozen=True)
 class OperatorValue:
@@ -92,71 +93,53 @@ class SolverOptions:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverOptions":
-        allowed = {"N", "tol", "max_iter", "svd_threshold", "x_norm_bound"}
-        extra = set(data) - allowed
-        if extra:
-            raise ConfigError(f"unknown solver option keys: {sorted(extra)}")
+        strict_keys(data, {"N", "tol", "max_iter", "svd_threshold", "x_norm_bound"}, "solver option")
         kwargs = {}
-        if "N" in data:
-            kwargs["n_max"] = int(data["N"])
-        for key in ("tol", "svd_threshold", "x_norm_bound"):
-            if key in data:
-                kwargs[key] = float(data[key])
-        if "max_iter" in data:
-            kwargs["max_iter"] = int(data["max_iter"])
+        try:
+            if "N" in data:
+                kwargs["n_max"] = int(data["N"])
+            for key in ("tol", "svd_threshold", "x_norm_bound"):
+                if key in data:
+                    kwargs[key] = float(data[key])
+            if "max_iter" in data:
+                kwargs["max_iter"] = int(data["max_iter"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed solver options: {exc}") from None
         return cls(**kwargs)
 
 
 # ---- factored substitution ---------------------------------------------------
 
 
-class _PowerCache:
-    def __init__(self):
-        self._store: dict[tuple[str, int], TrigSeries] = {}
-        self._bases: dict[str, TrigSeries] = {}
-
-    def register(self, tag: str, base: TrigSeries):
-        self._bases[tag] = base
-        self._store[(tag, 0)] = TrigSeries.constant(1.0)
-        self._store[(tag, 1)] = base
-
-    def get(self, tag: str, n: int) -> TrigSeries:
-        key = (tag, n)
-        if key not in self._store:
-            self._store[key] = multiply(self.get(tag, n - 1), self._bases[tag])
-        return self._store[key]
+def _factored_powers(htilde: TrigSeries, gtilde: TrigSeries) -> tuple[Powers, ...]:
+    """Powers of ``1 - zeta``, ``ht``, ``conj(ht)`` and ``gt + conj(zeta gt)``."""
+    u = gtilde + gtilde.shift(1).conjugate()
+    return tuple(Powers(base) for base in (ONE_MINUS, htilde, htilde.conjugate(), u))
 
 
-def _subst_factored(mon: dict, d: int, cache: _PowerCache, extra: int) -> TrigSeries:
+def _subst_factored(mon: dict, d: int, pows: tuple[Powers, ...], extra: int) -> TrigSeries:
     """Substitute ``z = (1-zeta) ht`` etc. and cancel ``(1-zeta)^(d-1)`` exactly.
 
-    ``extra`` counts additional structural ``(1-zeta)`` factors carried by the
-    direction of differentiation (one per first-order direction).
+    ``pows`` comes from ``_factored_powers``.  ``extra`` counts additional
+    structural ``(1-zeta)`` factors carried by the direction of
+    differentiation (one per first-order direction).
     """
+    om, ph, phb, pu = pows
     out = TrigSeries.zero(0)
     for (a, b, e), kappa in sorted(mon.items()):
         expo = a + b + e + extra - (d - 1)
         if expo < 0:
             raise NumericalError("vanishing-order bookkeeping violated")
-        term = cache.get("om", expo)
+        term = om[expo]
         if a:
-            term = multiply(term, cache.get("h", a))
+            term = multiply(term, ph[a])
         if b:
-            term = multiply(term, cache.get("hb", b))
+            term = multiply(term, phb[b])
         if e:
-            term = multiply(term, cache.get("u", e))
+            term = multiply(term, pu[e])
         coef = kappa * (-1.0) ** b * (-0.5j) ** e
         out = out + term.shift(-b) * coef
     return out
-
-
-def _factored_cache(htilde: TrigSeries, gtilde: TrigSeries) -> _PowerCache:
-    cache = _PowerCache()
-    cache.register("om", ONE_MINUS)
-    cache.register("h", htilde)
-    cache.register("hb", htilde.conjugate())
-    cache.register("u", gtilde + gtilde.shift(1).conjugate())
-    return cache
 
 
 def _over_s(series: TrigSeries, qfac: QFactorization, pad: int = 64) -> TrigSeries:
@@ -194,8 +177,8 @@ def _operator_value(
     gtilde: TrigSeries,
 ) -> OperatorValue:
     k0 = defn.model.k0
-    cache = _factored_cache(htilde, gtilde)
-    s1 = _subst_factored(defn.rz_mon(), defn.model.d, cache, extra=0)
+    pows = _factored_powers(htilde, gtilde)
+    s1 = _subst_factored(defn.rz_mon(), defn.model.d, pows, extra=0)
     t1 = _over_s(multiply(c, s1).shift(k0), qfac).negative_project()
 
     h, hbar, img, reg = _plain_point(defn, htilde, gtilde)
@@ -332,10 +315,10 @@ def _multipliers(
     with_weight: bool,
 ) -> _Multipliers:
     d, k0 = defn.model.d, defn.model.k0
-    cache = _factored_cache(htilde, gtilde)
+    pows = _factored_powers(htilde, gtilde)
 
     def fct(mon, extra):
-        return _subst_factored(mon, d, cache, extra)
+        return _subst_factored(mon, d, pows, extra)
 
     def weighted(series):
         return multiply(c, series).shift(k0)

@@ -65,6 +65,24 @@ def test_config_errors_exit_2(tmp_path):
     assert rc == 2
     rc, _ = _run(tmp_path, "analyze", {"model": Z4_MODEL, "schema": 99}, name="e.json")
     assert rc == 2
+    # malformed values are config errors too, never a traceback
+    disc = {"b": [0.0, 0.0], "v": [1.0, 0.0]}
+    nan_model = {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": math.nan, "im": 0.0}]}
+    malformed = [
+        ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"re": 1.0}]}}),
+        ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2}]}}),
+        ("analyze", {"model": {"d": 4, "k0": 2, "alpha": 5}}),
+        ("analyze", {"model": Z4_MODEL, "schema": "x"}),
+        ("analyze", {"model": Z4_MODEL, "perturbation": 5}),
+        ("analyze", {"model": Z4_MODEL, "solver": {"N": "abc"}}),
+        ("analyze", {"model": Z4_MODEL, "solver": {"tol": "x"}}),
+        ("disc", {"model": Z4_MODEL, "params": {"disc": disc, "samples": "x"}}),
+        ("gap", {"model": Z4_MODEL, "params": {"n_angles": "x"}}),
+        ("disc", {"model": nan_model, "params": {"disc": disc}}),
+    ]
+    for k, (command, config) in enumerate(malformed):
+        rc, _ = _run(tmp_path, command, config, name=f"m{k}.json")
+        assert rc == 2, (command, config)
 
 
 def test_unreadable_config_exits_2(tmp_path):

@@ -8,11 +8,12 @@ from discforge.discs import (
     mobius_a,
     model_disc,
     stationarity_residual,
+    substitute_boundary,
     weight_series,
 )
 from discforge.exceptions import ConfigError
 from discforge.model import ModelPolynomial
-from discforge.perturb import DefiningFunction
+from discforge.perturb import DefiningFunction, eval_mon
 from discforge.series import TrigSeries
 
 
@@ -168,3 +169,17 @@ def test_disc_round_trip_and_samples():
     np.testing.assert_allclose(rows["h"], disc.h.evaluate(pts), atol=1e-14)
     with pytest.raises(ConfigError):
         LiftedDisc.from_dict({"c": disc.c.to_dict()})
+
+
+def test_substitution_matches_pointwise_evaluation():
+    # coefficient-space trace against the pointwise evaluator on circle samples
+    disc = model_disc(_model_d4k3(), ModelDiscParams(0.2 - 0.1j, 0.5 + 0.2j), n_max=16)
+    h, g = disc.h, disc.g
+    img = (g - g.conjugate()) * (-0.5j)
+    assert img.sup_norm() > 0.1  # the trace really depends on u = Im g
+    mon = {(2, 1, 1): 0.3 - 0.2j, (1, 2, 2): 0.1j, (3, 3, 1): -0.05, (1, 0, 0): 0.5, (0, 0, 0): 1.0}
+    trace = substitute_boundary(mon, h, h.conjugate(), img)
+    k = 2 * trace.n_max + 2
+    hv = h.sample(k)
+    want = eval_mon(mon, hv, np.conj(hv), g.sample(k).imag)
+    assert np.max(np.abs(trace.sample(k) - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))

@@ -108,16 +108,6 @@ def test_factor_Q_monomial_case():
     assert fac.s_poly().coeff(0) == 1.0 and fac.t_poly().coeff(0) == 1.0
 
 
-def test_reciprocal_s_is_inverse():
-    fac = factor_Q(_model_d4k3())
-    inv, tail = fac.reciprocal_s(48)
-    prod = multiply(fac.s_poly(), inv)
-    for n in range(0, 48):
-        target = 1.0 if n == 0 else 0.0
-        assert abs(prod.coeff(n) - target) < 1e-13
-    assert tail < 1e-20
-
-
 def test_winding_numbers():
     fac = factor_Q(_model_d4k3())
     q1 = fac.roots_outside[0]

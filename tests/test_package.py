@@ -1,0 +1,24 @@
+"""Package surface: every exported name resolves, benchmarked entry points exist."""
+
+import importlib
+import pkgutil
+
+import discforge
+
+
+def test_every_all_entry_resolves():
+    modules = ["discforge"] + [f"discforge.{m.name}" for m in pkgutil.iter_modules(discforge.__path__)]
+    assert len(modules) > 6
+    for name in modules:
+        mod = importlib.import_module(name)
+        for entry in getattr(mod, "__all__", ()):
+            assert hasattr(mod, entry), f"{name}.__all__ names missing {entry!r}"
+
+
+def test_traced_entry_points_keep_their_names():
+    # the benchmark reports per-layer timings of these functions by name
+    for key in ("discs.substitute_boundary", "perturb.compose_disc", "series.multiply", "series.from_samples"):
+        layer, name = key.split(".")
+        mod = importlib.import_module(f"discforge.{layer}")
+        assert name in mod.__all__ and callable(getattr(mod, name)), key
+    assert callable(importlib.import_module("discforge.solver")._linearize)
