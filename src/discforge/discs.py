@@ -32,6 +32,7 @@ __all__ = [
     "model_disc",
     "stationarity_residual",
     "cauchy_center",
+    "boundary_powers",
     "substitute_boundary",
     "weight_series",
 ]
@@ -146,8 +147,7 @@ class LiftedDisc:
 
 def weight_series(b: complex, k0: int) -> TrigSeries:
     """The frozen disc weight ``c = (conj(b)/zeta + 1 + b zeta)^k0``."""
-    base = TrigSeries.from_mode_dict({-1: np.conj(b), 0: 1.0, 1: b})
-    return base.power(k0)
+    return Powers(TrigSeries.from_mode_dict({-1: np.conj(b), 0: 1.0, 1: b}))[k0]
 
 
 def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128) -> LiftedDisc:
@@ -173,9 +173,18 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     return LiftedDisc(c, h, g)
 
 
-def substitute_boundary(mon: dict, h: TrigSeries, hbar: TrigSeries, img: TrigSeries) -> TrigSeries:
-    """Boundary trace of a trivariate polynomial along ``(h, conj h, Im g)``."""
-    ph, phb, pu = Powers(h), Powers(hbar), Powers(img)
+def boundary_powers(h: TrigSeries, g: TrigSeries) -> tuple[Powers, Powers, Powers]:
+    """The powers of ``h``, ``conj h`` and ``Im g`` that ``substitute_boundary`` reads."""
+    return Powers(h), Powers(h.conjugate()), Powers((g - g.conjugate()) * (-0.5j))
+
+
+def substitute_boundary(mon: dict, pows: tuple[Powers, Powers, Powers]) -> TrigSeries:
+    """Boundary trace of a trivariate polynomial along ``(h, conj h, Im g)``.
+
+    ``pows`` comes from ``boundary_powers(h, g)``; every substitution at the
+    same disc can share it, so each power is built once.
+    """
+    ph, phb, pu = pows
     total = TrigSeries.zero(0)
     for (a, b, e), coeff in mon.items():
         term = ph[a] * phb[b]
@@ -197,20 +206,16 @@ def stationarity_residual(
     """
     if k0 is None:
         k0 = defn.model.k0
-    h = disc.h
-    hbar = h.conjugate()
-    img = (disc.g - disc.g.conjugate()) * (-0.5j)
-    reg = (disc.g + disc.g.conjugate()) * 0.5
-
-    rz = substitute_boundary(defn.rz_mon(), h, hbar, img)
-    rw = substitute_boundary(defn.rw_mon(), h, hbar, img)
-    big_r = substitute_boundary(defn.big_r_mon(), h, hbar, img)
+    pows = boundary_powers(disc.h, disc.g)
+    rz = substitute_boundary(defn.rz_mon(), pows)
+    rw = substitute_boundary(defn.rw_mon(), pows)
+    big_r = substitute_boundary(defn.big_r_mon(), pows)
 
     weighted_z = (disc.c * rz).shift(k0)
     weighted_w = (disc.c * rw).shift(k0)
     res1 = weighted_z.negative_project().sup_norm()
     res2 = weighted_w.negative_project().sup_norm()
-    res3 = (big_r - reg).sup_norm()
+    res3 = (big_r - (disc.g + disc.g.conjugate()) * 0.5).sup_norm()
     return res1, res2, res3
 
 

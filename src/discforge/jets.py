@@ -282,7 +282,7 @@ def determination_experiment(
             {
                 "b": _pair(b),
                 "iterations": sol.iterations,
-                "residual_base": float(max(stationarity_residual(base, r_t))),
+                "residual_base": float(max(sol.stationarity)),
                 "residual_composed": float(max(stationarity_residual(composed, r_t))),
                 "jet_base": [_pair(v) for v in jets_base],
                 "jet_composed": [_pair(v) for v in jets_comp],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericalError
+from .exceptions import ConfigError, NumericalError, strict_keys
 from .series import TrigSeries, multiply
 
 __all__ = [
@@ -110,11 +110,13 @@ class ModelPolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelPolynomial":
+        strict_keys(data, {"d", "k0", "alpha"}, "model")
         upper: dict[int, complex] = {}
         try:
             d = int(data["d"])
             k0 = int(data["k0"])
             for item in data["alpha"]:
+                strict_keys(item, {"j", "re", "im"}, "alpha entry")
                 j = int(item["j"])
                 if 2 * j < d:
                     raise ConfigError("model data lists only j >= d/2; mirrors are derived")

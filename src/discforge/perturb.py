@@ -220,6 +220,7 @@ class DefiningFunction:
         terms = []
         try:
             for item in data.get("terms", []):
+                strict_keys(item, {"i", "j", "l", "coeffs"}, "perturbation term")
                 coeffs = {(int(m), int(n)): re + 1j * im for m, n, re, im in item["coeffs"]}
                 terms.append(
                     PerturbationTerm(int(item["i"]), int(item["j"]), int(item["l"]), coeffs)
@@ -346,7 +347,7 @@ class BiholoMap:
             h1 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H1"]}
             h2 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H2"]}
             return cls(int(data["d"]), h1, h2)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed map data: {exc}") from None
 
 

@@ -181,14 +181,6 @@ class TrigSeries:
         """Pointwise complex conjugate on the circle: ``c[n] -> conj(c[-n])``."""
         return TrigSeries(np.conj(self.coeffs[::-1]))
 
-    def power(self, p: int) -> "TrigSeries":
-        if p < 0:
-            raise ValueError("negative powers are not representable")
-        out = TrigSeries.constant(1.0)
-        for _ in range(p):
-            out = multiply(out, self)
-        return out
-
     # ---- projections ----------------------------------------------------
 
     def szego_project(self) -> "TrigSeries":
@@ -235,9 +227,7 @@ class TrigSeries:
         if num < 2 * self.n_max + 1:
             raise ValueError("sample count must resolve all modes")
         buf = np.zeros(num, dtype=complex)
-        k = self.n_max
-        for n in range(-k, k + 1):
-            buf[n % num] += self.coeffs[k + n]
+        buf[np.arange(-self.n_max, self.n_max + 1) % num] += self.coeffs
         return np.fft.ifft(buf) * num
 
     def sup_norm(self, min_samples: int = 64) -> float:
@@ -332,13 +322,14 @@ def from_samples(values, n_max: int) -> tuple[TrigSeries, float]:
     if k & (k - 1) != 0 or k < 2 * n_max + 2:
         raise ValueError("sample count must be a power of two >= 2*n_max + 2")
     spec = np.fft.fft(vals) / k
-    arr = np.zeros(2 * n_max + 1, dtype=complex)
-    for n in range(-n_max, n_max + 1):
-        arr[n_max + n] = spec[n % k]
-    kept = {n % k for n in range(-n_max, n_max + 1)}
-    rest = [abs(spec[m]) for m in range(k) if m not in kept]
-    tail = float(max(rest)) if rest else 0.0
-    return TrigSeries(arr), tail
+    kept = np.arange(-n_max, n_max + 1) % k
+    rest = np.ones(k, dtype=bool)
+    rest[kept] = False
+    aliased = spec[rest]
+    # np.hypot is the scalar abs() of each mode to the bit; numpy's vectorised
+    # complex abs can differ from it in the last bit
+    tail = float(np.max(np.hypot(aliased.real, aliased.imag))) if aliased.size else 0.0
+    return TrigSeries(spec[kept]), tail
 
 
 def hilbert_transform(a: TrigSeries) -> TrigSeries:

@@ -13,9 +13,12 @@ symbolically: with ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` and
 ``conj(1 - zeta) = -conj(zeta) (1 - zeta)`` every monomial ``z^a zbar^b u^e``
 of a derivative of ``r`` contributes a clean power ``(1 - zeta)^(a+b+e)``, so
 the quotient is polynomial; only the division by ``s`` is numerical (pointwise
-on circle samples, where ``s`` does not vanish).  The powers of ``1 - zeta``,
-``ht``, ``conj(ht)`` and the ``Im g`` factor come from ``series.Powers``, the
-power cache that every monomial substitution in the package shares.
+on circle samples, where ``s`` does not vanish).  Each iterate ``(ht, gt)`` is
+one ``_Point``: it holds ``h``, ``g``, ``Re g`` and the ``series.Powers`` of
+``h``, ``conj h``, ``Im g`` (plain substitution) and of ``1 - zeta``, ``ht``,
+``conj ht``, ``gt + conj(zeta gt)`` (factored substitution), so the operator
+value, the multipliers and the kernel construction at that point build each
+power once.
 
 The linearization is assembled from multiplier series and index shifts, never
 from finite differences; a difference quotient appears only in the tests as an
@@ -32,6 +35,7 @@ import numpy as np
 from .discs import (
     LiftedDisc,
     ModelDiscParams,
+    boundary_powers,
     model_disc,
     stationarity_residual,
     substitute_boundary,
@@ -108,19 +112,39 @@ class SolverOptions:
         return cls(**kwargs)
 
 
-# ---- factored substitution ---------------------------------------------------
+# ---- the point of one iterate -------------------------------------------------
 
 
-def _factored_powers(htilde: TrigSeries, gtilde: TrigSeries) -> tuple[Powers, ...]:
-    """Powers of ``1 - zeta``, ``ht``, ``conj(ht)`` and ``gt + conj(zeta gt)``."""
-    u = gtilde + gtilde.shift(1).conjugate()
-    return tuple(Powers(base) for base in (ONE_MINUS, htilde, htilde.conjugate(), u))
+class _Point:
+    """The disc ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` with the powers its substitutions read.
+
+    ``plain`` holds the powers of ``h``, ``conj h`` and ``Im g``
+    (``boundary_powers``), ``factored`` those of ``1 - zeta``, ``ht``,
+    ``conj ht`` and ``gt + conj(zeta gt)``; each power is built the first
+    time a substitution at this point asks for it, and only then.
+    """
+
+    def __init__(self, htilde: TrigSeries, gtilde: TrigSeries):
+        self.h = multiply(ONE_MINUS, htilde)
+        self.g = multiply(ONE_MINUS, gtilde)
+        self.re_g = (self.g + self.g.conjugate()) * 0.5
+        self.plain = boundary_powers(self.h, self.g)
+        u = gtilde + gtilde.shift(1).conjugate()
+        self.factored = tuple(Powers(base) for base in (ONE_MINUS, htilde, htilde.conjugate(), u))
+
+    @classmethod
+    def of_disc(cls, disc: LiftedDisc) -> "_Point":
+        try:
+            htilde, gtilde = divide_one_minus_zeta(disc.h), divide_one_minus_zeta(disc.g)
+        except ValueError as exc:
+            raise ConfigError(f"disc components not divisible by 1 - zeta: {exc}") from None
+        return cls(htilde, gtilde)
 
 
 def _subst_factored(mon: dict, d: int, pows: tuple[Powers, ...], extra: int) -> TrigSeries:
     """Substitute ``z = (1-zeta) ht`` etc. and cancel ``(1-zeta)^(d-1)`` exactly.
 
-    ``pows`` comes from ``_factored_powers``.  ``extra`` counts additional
+    ``pows`` is a point's ``factored`` powers.  ``extra`` counts additional
     structural ``(1-zeta)`` factors carried by the direction of
     differentiation (one per first-order direction).
     """
@@ -160,31 +184,16 @@ def _over_s(series: TrigSeries, qfac: QFactorization, pad: int = 64) -> TrigSeri
 # ---- evaluation ---------------------------------------------------------------
 
 
-def _plain_point(defn: DefiningFunction, htilde: TrigSeries, gtilde: TrigSeries):
-    h = multiply(ONE_MINUS, htilde)
-    g = multiply(ONE_MINUS, gtilde)
-    hbar = h.conjugate()
-    img = (g - g.conjugate()) * (-0.5j)
-    reg = (g + g.conjugate()) * 0.5
-    return h, hbar, img, reg
-
-
 def _operator_value(
-    defn: DefiningFunction,
-    qfac: QFactorization,
-    c: TrigSeries,
-    htilde: TrigSeries,
-    gtilde: TrigSeries,
+    defn: DefiningFunction, qfac: QFactorization, c: TrigSeries, point: _Point
 ) -> OperatorValue:
     k0 = defn.model.k0
-    pows = _factored_powers(htilde, gtilde)
-    s1 = _subst_factored(defn.rz_mon(), defn.model.d, pows, extra=0)
+    s1 = _subst_factored(defn.rz_mon(), defn.model.d, point.factored, extra=0)
     t1 = _over_s(multiply(c, s1).shift(k0), qfac).negative_project()
 
-    h, hbar, img, reg = _plain_point(defn, htilde, gtilde)
-    rw = substitute_boundary(defn.rw_mon(), h, hbar, img)
+    rw = substitute_boundary(defn.rw_mon(), point.plain)
     t2 = multiply(c, rw).shift(k0).negative_project()
-    t3raw = substitute_boundary(defn.big_r_mon(), h, hbar, img) - reg
+    t3raw = substitute_boundary(defn.big_r_mon(), point.plain) - point.re_g
     t3 = TrigSeries.real_symmetrized(t3raw.coeffs)
     return OperatorValue(t1, t2, t3)
 
@@ -193,12 +202,7 @@ def eval_T_prime(
     r: DefiningFunction, disc: LiftedDisc, qfac: QFactorization
 ) -> OperatorValue:
     """Evaluate the reduced operator at a lifted disc."""
-    try:
-        htilde = divide_one_minus_zeta(disc.h)
-        gtilde = divide_one_minus_zeta(disc.g)
-    except ValueError as exc:
-        raise ConfigError(f"disc components not divisible by 1 - zeta: {exc}") from None
-    return _operator_value(r, qfac, disc.c, htilde, gtilde)
+    return _operator_value(r, qfac, disc.c, _Point.of_disc(disc))
 
 
 # ---- linearization -------------------------------------------------------------
@@ -307,38 +311,27 @@ class _Multipliers:
 
 
 def _multipliers(
-    defn: DefiningFunction,
-    qfac: QFactorization,
-    c: TrigSeries,
-    htilde: TrigSeries,
-    gtilde: TrigSeries,
-    with_weight: bool,
+    defn: DefiningFunction, qfac: QFactorization, c: TrigSeries, point: _Point, with_weight: bool
 ) -> _Multipliers:
     d, k0 = defn.model.d, defn.model.k0
-    pows = _factored_powers(htilde, gtilde)
-
-    def fct(mon, extra):
-        return _subst_factored(mon, d, pows, extra)
+    fct, plain = point.factored, point.plain
 
     def weighted(series):
         return multiply(c, series).shift(k0)
 
     # T1 multipliers carry the exact cancellation and the sample division by s
-    m1_hlin = _over_s(weighted(fct(defn.rzz_mon(), 1)), qfac)
-    m1_hanti = -_over_s(weighted(fct(defn.rzzbar_mon(), 1)), qfac).shift(-1)
-    m1_g = _over_s(weighted(fct(d_u(defn.rz_mon()), 1)), qfac) * (-0.5j)
+    m1_hlin = _over_s(weighted(_subst_factored(defn.rzz_mon(), d, fct, 1)), qfac)
+    m1_hanti = -_over_s(weighted(_subst_factored(defn.rzzbar_mon(), d, fct, 1)), qfac).shift(-1)
+    m1_g = _over_s(weighted(_subst_factored(d_u(defn.rz_mon()), d, fct, 1)), qfac) * (-0.5j)
 
-    h, hbar, img, _ = _plain_point(defn, htilde, gtilde)
+    m2_hlin = weighted(multiply(substitute_boundary(defn.rzw_mon(), plain), ONE_MINUS))
+    m2_hanti = -weighted(
+        multiply(substitute_boundary(defn.rwzbar_mon(), plain), ONE_MINUS)
+    ).shift(-1)
+    m2_g = weighted(multiply(substitute_boundary(d_u(defn.rw_mon()), plain), ONE_MINUS)) * (-0.5j)
 
-    def plain(mon):
-        return substitute_boundary(mon, h, hbar, img)
-
-    m2_hlin = weighted(multiply(plain(defn.rzw_mon()), ONE_MINUS))
-    m2_hanti = -weighted(multiply(plain(defn.rwzbar_mon()), ONE_MINUS)).shift(-1)
-    m2_g = weighted(multiply(plain(d_u(defn.rw_mon())), ONE_MINUS)) * (-0.5j)
-
-    s3z = plain(defn.rz_mon())
-    s3u = plain(d_u(defn.big_r_mon()))
+    s3z = substitute_boundary(defn.rz_mon(), plain)
+    s3u = substitute_boundary(d_u(defn.big_r_mon()), plain)
     m3_hlin = multiply(s3z, ONE_MINUS)
     m3_hanti = -multiply(s3z.conjugate(), ONE_MINUS).shift(-1)
     m3_glin = multiply(s3u * (-0.5j) + TrigSeries.constant(-0.5), ONE_MINUS)
@@ -346,7 +339,10 @@ def _multipliers(
 
     weight = None
     if with_weight:
-        weight = (_over_s(fct(defn.rz_mon(), 0).shift(k0), qfac), plain(defn.rw_mon()).shift(k0))
+        weight = (
+            _over_s(_subst_factored(defn.rz_mon(), d, fct, 0).shift(k0), qfac),
+            substitute_boundary(defn.rw_mon(), plain).shift(k0),
+        )
     return _Multipliers(
         h=((m1_hlin, m1_hanti), (m2_hlin, m2_hanti), (m3_hlin, m3_hanti)),
         g=((m1_g, m1_g.shift(-1)), (m2_g, m2_g.shift(-1)), (m3_glin, m3_ganti)),
@@ -358,13 +354,12 @@ def _linearize(
     defn: DefiningFunction,
     qfac: QFactorization,
     c: TrigSeries,
-    htilde: TrigSeries,
-    gtilde: TrigSeries,
+    point: _Point,
     n_in: int,
     n_out: int,
     n_weight: int | None,
 ) -> LinearizedOperator:
-    mults = _multipliers(defn, qfac, c, htilde, gtilde, with_weight=n_weight is not None)
+    mults = _multipliers(defn, qfac, c, point, with_weight=n_weight is not None)
     n_wcols = 0 if n_weight is None else 2 * n_weight + 1
     a = np.zeros((6 * n_out + 1, n_wcols + 4 * (n_in + 1)))
 
@@ -406,15 +401,14 @@ def linearize_at(
     the series truncation); pass the result to ``kernel_dim_svd`` or slice
     ``hg_cols`` for the frozen-weight subproblem.
     """
-    htilde = divide_one_minus_zeta(disc.h)
-    gtilde = divide_one_minus_zeta(disc.g)
-    if n_in is None:
-        n_in = max(htilde.n_max, gtilde.n_max)
+    point = _Point.of_disc(disc)
+    if n_in is None:  # the degree of ht or gt, one below that of h or g
+        n_in = max(point.h.n_max, point.g.n_max) - 1
     if n_weight is None:
         n_weight = n_in
     if n_out is None:
         n_out = _default_n_out(r.model.d, r.model.k0, n_in)
-    return _linearize(r, qfac, disc.c, htilde, gtilde, n_in, n_out, n_weight)
+    return _linearize(r, qfac, disc.c, point, n_in, n_out, n_weight)
 
 
 # ---- kernel --------------------------------------------------------------------
@@ -495,7 +489,8 @@ def kernel_basis_p0(
     d, k0 = model.d, model.k0
     defn = DefiningFunction.pure(model)
     disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=max(8, 2 * d))
-    op = linearize_at(defn, disc, qfac, n_in=n_in, n_weight=k0)
+    point = _Point.of_disc(disc)
+    op = _linearize(defn, qfac, disc.c, point, n_in, _default_n_out(d, k0, n_in), k0)
     matrix = op.matrix
     hg = matrix[:, op.hg_cols]
     keep = _nonzero_rows(hg)
@@ -504,9 +499,10 @@ def kernel_basis_p0(
     weight_dirs[:, op.hg_cols] = sol.T
     raw = list(weight_dirs)
 
-    htilde0 = divide_one_minus_zeta(disc.h).pad_to(n_in)
-    h0, h0bar, img0, _ = _plain_point(defn, htilde0, divide_one_minus_zeta(disc.g))
-    rz0 = substitute_boundary(defn.rz_mon(), h0, h0bar, img0)
+    # r_z along h, padded to its carrier for an h of degree n_in + 1 (that of
+    # the kernel's h directions): np.convolve's sums, and so the last bits of
+    # the basis, depend on the carriers of the operands
+    rz0 = substitute_boundary(defn.rz_mon(), point.plain).pad_to((d - 1) * (n_in + 1))
 
     hom_shapes = [TrigSeries.constant(1.0).pad_to(n_in)]
     for root, mult in qfac.roots_inside:
@@ -598,12 +594,12 @@ def solve_newton(
     inner_tol = 0.01 * opts.tol
 
     x = pack_series(htilde, gtilde, n_in)
-    val = _operator_value(r, qfac, c, htilde, gtilde)
-    f = stack_value(val, n_out)
+    point = _Point(htilde, gtilde)
+    f = stack_value(_operator_value(r, qfac, c, point), n_out)
     history = [float(np.max(np.abs(f)))]
     iterations = 0
     while history[-1] >= inner_tol and iterations < opts.max_iter:
-        jac = _linearize(r, qfac, c, htilde, gtilde, n_in, n_out, n_weight=None).matrix
+        jac = _linearize(r, qfac, c, point, n_in, n_out, n_weight=None).matrix
         keep = _nonzero_rows(jac)
         # release the full matrix before the solve, the trimmed one after it:
         # neither then lives on through the next assembly
@@ -614,18 +610,18 @@ def solve_newton(
         alpha = 1.0
         while True:
             x_try = x + alpha * delta
-            ht_try, gt_try = unpack_series(x_try, n_in)
-            f_try = stack_value(_operator_value(r, qfac, c, ht_try, gt_try), n_out)
+            point_try = _Point(*unpack_series(x_try, n_in))
+            f_try = stack_value(_operator_value(r, qfac, c, point_try), n_out)
             if float(f_try @ f_try) <= (1.0 - 1e-4 * alpha) * phi0:
                 break
             alpha *= 0.5
             if alpha < 1e-10:
                 raise NumericalError("line search failed to reduce the residual")
-        x, htilde, gtilde, f = x_try, ht_try, gt_try, f_try
+        x, point, f = x_try, point_try, f_try
         iterations += 1
         history.append(float(np.max(np.abs(f))))
 
-    disc = LiftedDisc(c, multiply(ONE_MINUS, htilde), multiply(ONE_MINUS, gtilde))
+    disc = LiftedDisc(c, point.h, point.g)
     for series in (disc.h, disc.g):
         scale = max(1.0, float(np.max(np.abs(series.coeffs))))
         if series.coeff_decay() > 1e-7 * scale:

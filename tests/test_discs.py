@@ -7,6 +7,7 @@ from discforge.discs import (
     cauchy_center,
     mobius_a,
     model_disc,
+    boundary_powers,
     stationarity_residual,
     substitute_boundary,
     weight_series,
@@ -178,7 +179,7 @@ def test_substitution_matches_pointwise_evaluation():
     img = (g - g.conjugate()) * (-0.5j)
     assert img.sup_norm() > 0.1  # the trace really depends on u = Im g
     mon = {(2, 1, 1): 0.3 - 0.2j, (1, 2, 2): 0.1j, (3, 3, 1): -0.05, (1, 0, 0): 0.5, (0, 0, 0): 1.0}
-    trace = substitute_boundary(mon, h, h.conjugate(), img)
+    trace = substitute_boundary(mon, boundary_powers(h, g))
     k = 2 * trace.n_max + 2
     hv = h.sample(k)
     want = eval_mon(mon, hv, np.conj(hv), g.sample(k).imag)

@@ -14,7 +14,7 @@ from discforge.model import (
     random_admissible_model,
     winding_number,
 )
-from discforge.series import TrigSeries, coeff_distance, multiply
+from discforge.series import Powers, TrigSeries, coeff_distance, multiply
 
 
 def _model_d4k3():
@@ -80,10 +80,10 @@ def test_Q_identity_on_circle():
         for j in range(m.d - m.k0, m.k0 + 1):
             if j < 1 or j > m.d - 1:
                 continue
-            lhs = lhs + multiply(om.power(j - 1), omc.power(m.d - 1 - j)).scale(m.gamma(j))
+            lhs = lhs + multiply(Powers(om)[j - 1], Powers(omc)[m.d - 1 - j]).scale(m.gamma(j))
         lhs = lhs.shift(m.k0)
         rhs = multiply(
-            TrigSeries.from_mode_dict({0: -1.0, 1: 1.0}).power(m.d - 2), compute_Q(m)
+            Powers(TrigSeries.from_mode_dict({0: -1.0, 1: 1.0}))[m.d - 2], compute_Q(m)
         )
         assert coeff_distance(lhs, rhs) < 1e-12
 

@@ -22,6 +22,7 @@ from discforge.solver import (
 )
 from discforge import solver
 from discforge.solver import (
+    _Point,
     _default_n_out,
     _linearize,
     _multipliers,
@@ -152,7 +153,7 @@ def _fd_matrix(r, qfac, c, htilde, gtilde, n_in, n_out, n_weight, eps=1e-6):
     def value(x):
         cx = _weight_from_coords(x[: 2 * n_weight + 1], n_weight)
         ht, gt = unpack_series(x[2 * n_weight + 1 :], n_in)
-        return stack_value(_operator_value(r, qfac, cx, ht, gt), n_out)
+        return stack_value(_operator_value(r, qfac, cx, _Point(ht, gt)), n_out)
 
     cols = []
     for j in range(x0.size):
@@ -160,6 +161,16 @@ def _fd_matrix(r, qfac, c, htilde, gtilde, n_in, n_out, n_weight, eps=1e-6):
         step[j] = eps
         cols.append((value(x0 + step) - value(x0 - step)) / (2 * eps))
     return np.column_stack(cols)
+
+
+def test_disc_not_divisible_by_one_minus_zeta_is_config_error():
+    # h(1) != 0: the operator and its linearization reject the disc alike
+    model = _abs_power(4)
+    disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=8)
+    bad = LiftedDisc(disc.c, disc.h + TrigSeries.constant(0.1), disc.g, validate=False)
+    for entry in (eval_T_prime, linearize_at):
+        with pytest.raises(ConfigError, match="not divisible by 1 - zeta"):
+            entry(_pure(model), bad, factor_Q(model))
 
 
 def test_linearization_matches_finite_differences_at_base():
@@ -192,7 +203,7 @@ def test_linearization_matches_finite_differences_perturbed():
         n_in,
     )
     ht, gt = unpack_series(base + rng.standard_normal(base.size) * 0.01, n_in)
-    op = _linearize(r, qfac, disc.c, ht, gt, n_in, n_out, n_in)
+    op = _linearize(r, qfac, disc.c, _Point(ht, gt), n_in, n_out, n_in)
     fd = _fd_matrix(r, qfac, disc.c, ht, gt, n_in, n_out, n_in)
     assert np.max(np.abs(op.matrix - fd)) < 1e-6
 
@@ -290,10 +301,10 @@ def test_assembly_matches_per_column_reference(l, with_weight):
     r, qfac, c, ht, gt = _perturbed_point(l)
     n_in, n_out = 12, _default_n_out(4, 3, 12)
     n_weight = r.model.k0 if with_weight else None
-    op = _linearize(r, qfac, c, ht, gt, n_in, n_out, n_weight)
-    mults = _multipliers(r, qfac, c, ht, gt, with_weight)
+    op = _linearize(r, qfac, c, _Point(ht, gt), n_in, n_out, n_weight)
+    mults = _multipliers(r, qfac, c, _Point(ht, gt), with_weight)
     assert np.array_equal(op.matrix, _linearize_reference(mults, n_in, n_out, n_weight))
-    val = _operator_value(r, qfac, c, ht, gt)
+    val = _operator_value(r, qfac, c, _Point(ht, gt))
     for n in (5, n_out):  # truncating and padding the value series
         assert np.array_equal(stack_value(val, n), _stack_reference(val.t1, val.t2, val.t3, n))
 
@@ -302,14 +313,14 @@ def test_assembly_matches_per_column_reference(l, with_weight):
 def test_zero_rows_trimmed_exactly(l):
     r, qfac, c, ht, gt = _perturbed_point(l)
     n_in, n_out = 12, _default_n_out(4, 3, 12)
-    matrix = _linearize(r, qfac, c, ht, gt, n_in, n_out, None).matrix
+    matrix = _linearize(r, qfac, c, _Point(ht, gt), n_in, n_out, None).matrix
     t2 = matrix[2 * n_out : 4 * n_out]
     # a u-free perturbation leaves r_w constant, so every T2 multiplier vanishes;
     # a u-term fills the block, so the rows to drop must come from the data
     assert t2.any() == (l == 1)
     keep = _nonzero_rows(matrix)
     assert not matrix[~keep].any() and np.all(matrix[keep].any(axis=1))
-    f = stack_value(_operator_value(r, qfac, c, ht, gt), n_out)
+    f = stack_value(_operator_value(r, qfac, c, _Point(ht, gt)), n_out)
     rcond = SolverOptions().svd_threshold
     full, *_ = np.linalg.lstsq(matrix, -f, rcond=rcond)
     trimmed, *_ = np.linalg.lstsq(matrix[keep], -f[keep], rcond=rcond)
