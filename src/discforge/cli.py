@@ -59,6 +59,11 @@ log = logging.getLogger("discforge")
 
 _TOP_KEYS = {"schema", "model", "perturbation", "solver", "params"}
 
+# Largest accepted params.n_angles of ``gap``: each angle is a closed-form
+# evaluation, a 256-point quadrature and one CSV row, so this keeps a run
+# under about ten seconds and gap.csv to a few MB.
+MAX_ANGLES = 1 << 16
+
 _PARAM_KEYS = {
     "analyze": set(),
     "disc": {"disc", "samples"},
@@ -236,8 +241,8 @@ def cmd_jet(cfg: RunConfig) -> dict:
 
 def cmd_gap(cfg: RunConfig) -> dict:
     n_angles = _number(cfg.params.get("n_angles", 64), int, "params.n_angles")
-    if n_angles < 1:
-        raise ConfigError("params.n_angles must be positive")
+    if not 1 <= n_angles <= MAX_ANGLES:
+        raise ConfigError(f"params.n_angles must lie in [1, {MAX_ANGLES}]")
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     values = [surjectivity_gap(cfg.model, float(a)) for a in angles]
     report = {

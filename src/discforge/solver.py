@@ -13,12 +13,12 @@ symbolically: with ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` and
 ``conj(1 - zeta) = -conj(zeta) (1 - zeta)`` every monomial ``z^a zbar^b u^e``
 of a derivative of ``r`` contributes a clean power ``(1 - zeta)^(a+b+e)``, so
 the quotient is polynomial; only the division by ``s`` is numerical (pointwise
-on circle samples, where ``s`` does not vanish).  Each iterate ``(ht, gt)`` is
-one ``_Point``: it holds ``h``, ``g``, ``Re g`` and the ``series.Powers`` of
-``h``, ``conj h``, ``Im g`` (plain substitution) and of ``1 - zeta``, ``ht``,
-``conj ht``, ``gt + conj(zeta gt)`` (factored substitution), so the operator
-value, the multipliers and the kernel construction at that point build each
-power once.
+on circle samples, where ``s`` does not vanish).  Every trace the operator and
+its multipliers need is this one substitution, ``_trace``, multiplied back
+by ``(1 - zeta)^extra`` (``extra = d - 1`` gives the plain trace).  Each iterate
+``(ht, gt)`` is one ``_Point``: it holds ``h``, ``g``, ``Re g`` and the one
+``series.Powers`` cache of ``1 - zeta``, ``ht``, ``conj ht`` and ``gt +
+conj(zeta gt)`` that every trace at that point reads.
 
 The linearization is assembled from multiplier series and index shifts, never
 from finite differences; a difference quotient appears only in the tests as an
@@ -32,15 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discs import (
-    LiftedDisc,
-    ModelDiscParams,
-    boundary_powers,
-    model_disc,
-    stationarity_residual,
-    substitute_boundary,
-    weight_series,
-)
+from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual, weight_series
 from .exceptions import ConfigError, NumericalError, strict_keys
 from .model import QFactorization
 from .perturb import DefiningFunction, d_u, x_norm_distance
@@ -81,6 +73,15 @@ class OperatorValue:
         return self.t1.sup_norm(), self.t2.sup_norm(), self.t3.sup_norm()
 
 
+# Largest accepted truncation order N.  Substitutions along a disc of order N
+# build series of order about d N, which series.MAX_ORDER (65536) holds for
+# d <= 16.  A solve is bounded separately, by the size of its Jacobian.
+MAX_N = 4096
+# Largest dense Jacobian ``solve_newton`` assembles, in bytes; lstsq works on a
+# trimmed copy of up to the same size, so a solve may need twice this.
+MAX_JACOBIAN_BYTES = 1 << 30
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     n_max: int = 128
@@ -92,6 +93,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.n_max < 4 or self.max_iter < 1:
             raise ConfigError("solver options out of range")
+        if self.n_max > MAX_N:
+            raise ConfigError(f"solver N = {self.n_max} exceeds the cap {MAX_N}")
         if not (0 < self.tol < 1) or not (0 < self.svd_threshold < 1):
             raise ConfigError("solver tolerances must lie in (0, 1)")
 
@@ -118,17 +121,15 @@ class SolverOptions:
 class _Point:
     """The disc ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` with the powers its substitutions read.
 
-    ``plain`` holds the powers of ``h``, ``conj h`` and ``Im g``
-    (``boundary_powers``), ``factored`` those of ``1 - zeta``, ``ht``,
-    ``conj ht`` and ``gt + conj(zeta gt)``; each power is built the first
-    time a substitution at this point asks for it, and only then.
+    ``factored`` holds the powers of ``1 - zeta``, ``ht``, ``conj ht`` and
+    ``gt + conj(zeta gt)``, the one cache every ``_trace`` at this point reads;
+    each power is built the first time a trace asks for it, and only then.
     """
 
     def __init__(self, htilde: TrigSeries, gtilde: TrigSeries):
         self.h = multiply(ONE_MINUS, htilde)
         self.g = multiply(ONE_MINUS, gtilde)
         self.re_g = (self.g + self.g.conjugate()) * 0.5
-        self.plain = boundary_powers(self.h, self.g)
         u = gtilde + gtilde.shift(1).conjugate()
         self.factored = tuple(Powers(base) for base in (ONE_MINUS, htilde, htilde.conjugate(), u))
 
@@ -141,14 +142,25 @@ class _Point:
         return cls(htilde, gtilde)
 
 
-def _subst_factored(mon: dict, d: int, pows: tuple[Powers, ...], extra: int) -> TrigSeries:
-    """Substitute ``z = (1-zeta) ht`` etc. and cancel ``(1-zeta)^(d-1)`` exactly.
+def _trace(
+    mon: dict,
+    d: int,
+    point: _Point,
+    extra: int,
+    c: TrigSeries | None = None,
+    k0: int = 0,
+    qfac: QFactorization | None = None,
+) -> TrigSeries:
+    """Trace of ``mon`` along ``point``, divided by ``(1 - zeta)^(d - 1 - extra)``.
 
-    ``pows`` is a point's ``factored`` powers.  ``extra`` counts additional
-    structural ``(1-zeta)`` factors carried by the direction of
-    differentiation (one per first-order direction).
+    Each monomial ``z^a zbar^b u^e`` carries ``(1 - zeta)^(a+b+e)`` along the
+    point, so the quotient is exact: ``extra`` is 0 for the reduced ``r_z``, 1
+    for a first-order direction of it, ``d - 1`` for the plain trace and ``d``
+    for the plain trace times ``1 - zeta``.  The sum is then multiplied by
+    ``c`` (if given), shifted by ``zeta^k0`` and divided by ``s`` on circle
+    samples (if ``qfac`` has outside roots).
     """
-    om, ph, phb, pu = pows
+    om, ph, phb, pu = point.factored
     out = TrigSeries.zero(0)
     for (a, b, e), kappa in sorted(mon.items()):
         expo = a + b + e + extra - (d - 1)
@@ -163,16 +175,14 @@ def _subst_factored(mon: dict, d: int, pows: tuple[Powers, ...], extra: int) -> 
             term = multiply(term, pu[e])
         coef = kappa * (-1.0) ** b * (-0.5j) ** e
         out = out + term.shift(-b) * coef
-    return out
-
-
-def _over_s(series: TrigSeries, qfac: QFactorization, pad: int = 64) -> TrigSeries:
-    """Divide by the outside-root polynomial, pointwise on circle samples."""
-    if not qfac.roots_outside:
-        return series
-    n_target = series.n_max + pad
+    if c is not None:
+        out = multiply(c, out)
+    out = out.shift(k0)
+    if qfac is None or not qfac.roots_outside:
+        return out
+    n_target = out.n_max + 64  # room for the modes the division by s adds
     k = 1 << max(8, int(math.ceil(math.log2(2 * n_target + 2))))
-    vals = series.sample(k)
+    vals = out.sample(k)
     svals = qfac.s_poly().sample(k)
     out, tail = from_samples(vals / svals, n_target)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -187,13 +197,10 @@ def _over_s(series: TrigSeries, qfac: QFactorization, pad: int = 64) -> TrigSeri
 def _operator_value(
     defn: DefiningFunction, qfac: QFactorization, c: TrigSeries, point: _Point
 ) -> OperatorValue:
-    k0 = defn.model.k0
-    s1 = _subst_factored(defn.rz_mon(), defn.model.d, point.factored, extra=0)
-    t1 = _over_s(multiply(c, s1).shift(k0), qfac).negative_project()
-
-    rw = substitute_boundary(defn.rw_mon(), point.plain)
-    t2 = multiply(c, rw).shift(k0).negative_project()
-    t3raw = substitute_boundary(defn.big_r_mon(), point.plain) - point.re_g
+    d, k0 = defn.model.d, defn.model.k0
+    t1 = _trace(defn.rz_mon(), d, point, 0, c, k0, qfac).negative_project()
+    t2 = _trace(defn.rw_mon(), d, point, d - 1, c, k0).negative_project()
+    t3raw = _trace(defn.big_r_mon(), d, point, d - 1) - point.re_g
     t3 = TrigSeries.real_symmetrized(t3raw.coeffs)
     return OperatorValue(t1, t2, t3)
 
@@ -314,38 +321,30 @@ def _multipliers(
     defn: DefiningFunction, qfac: QFactorization, c: TrigSeries, point: _Point, with_weight: bool
 ) -> _Multipliers:
     d, k0 = defn.model.d, defn.model.k0
-    fct, plain = point.factored, point.plain
 
-    def weighted(series):
-        return multiply(c, series).shift(k0)
+    # T1 multipliers carry the exact cancellation and the sample division by s;
+    # T2 and T3 are plain traces times the 1 - zeta of the direction
+    m1_hlin = _trace(defn.rzz_mon(), d, point, 1, c, k0, qfac)
+    m1_hanti = -_trace(defn.rzzbar_mon(), d, point, 1, c, k0, qfac).shift(-1)
+    m1_g = _trace(d_u(defn.rz_mon()), d, point, 1, c, k0, qfac) * (-0.5j)
 
-    # T1 multipliers carry the exact cancellation and the sample division by s
-    m1_hlin = _over_s(weighted(_subst_factored(defn.rzz_mon(), d, fct, 1)), qfac)
-    m1_hanti = -_over_s(weighted(_subst_factored(defn.rzzbar_mon(), d, fct, 1)), qfac).shift(-1)
-    m1_g = _over_s(weighted(_subst_factored(d_u(defn.rz_mon()), d, fct, 1)), qfac) * (-0.5j)
+    m2_hlin = _trace(defn.rzw_mon(), d, point, d, c, k0)
+    m2_hanti = -_trace(defn.rwzbar_mon(), d, point, d, c, k0).shift(-1)
+    m2_g = _trace(d_u(defn.rw_mon()), d, point, d, c, k0) * (-0.5j)
 
-    m2_hlin = weighted(multiply(substitute_boundary(defn.rzw_mon(), plain), ONE_MINUS))
-    m2_hanti = -weighted(
-        multiply(substitute_boundary(defn.rwzbar_mon(), plain), ONE_MINUS)
-    ).shift(-1)
-    m2_g = weighted(multiply(substitute_boundary(d_u(defn.rw_mon()), plain), ONE_MINUS)) * (-0.5j)
-
-    s3z = substitute_boundary(defn.rz_mon(), plain)
-    s3u = substitute_boundary(d_u(defn.big_r_mon()), plain)
-    m3_hlin = multiply(s3z, ONE_MINUS)
-    m3_hanti = -multiply(s3z.conjugate(), ONE_MINUS).shift(-1)
-    m3_glin = multiply(s3u * (-0.5j) + TrigSeries.constant(-0.5), ONE_MINUS)
-    m3_ganti = multiply(s3u * (-0.5j) + TrigSeries.constant(0.5), ONE_MINUS).shift(-1)
+    # T3 is real, so each anti multiplier is the conjugate of its lin one
+    m3_hlin = _trace(defn.rz_mon(), d, point, d)
+    m3_glin = _trace(d_u(defn.big_r_mon()), d, point, d) * (-0.5j) - ONE_MINUS * 0.5
 
     weight = None
     if with_weight:
         weight = (
-            _over_s(_subst_factored(defn.rz_mon(), d, fct, 0).shift(k0), qfac),
-            substitute_boundary(defn.rw_mon(), plain).shift(k0),
+            _trace(defn.rz_mon(), d, point, 0, k0=k0, qfac=qfac),
+            _trace(defn.rw_mon(), d, point, d - 1, k0=k0),
         )
     return _Multipliers(
-        h=((m1_hlin, m1_hanti), (m2_hlin, m2_hanti), (m3_hlin, m3_hanti)),
-        g=((m1_g, m1_g.shift(-1)), (m2_g, m2_g.shift(-1)), (m3_glin, m3_ganti)),
+        h=((m1_hlin, m1_hanti), (m2_hlin, m2_hanti), (m3_hlin, m3_hlin.conjugate())),
+        g=((m1_g, m1_g.shift(-1)), (m2_g, m2_g.shift(-1)), (m3_glin, m3_glin.conjugate())),
         weight=weight,
     )
 
@@ -499,11 +498,7 @@ def kernel_basis_p0(
     weight_dirs[:, op.hg_cols] = sol.T
     raw = list(weight_dirs)
 
-    # r_z along h, padded to its carrier for an h of degree n_in + 1 (that of
-    # the kernel's h directions): np.convolve's sums, and so the last bits of
-    # the basis, depend on the carriers of the operands
-    rz0 = substitute_boundary(defn.rz_mon(), point.plain).pad_to((d - 1) * (n_in + 1))
-
+    rz1 = _trace(defn.rz_mon(), d, point, d)  # r_z along the base disc, times 1 - zeta
     hom_shapes = [TrigSeries.constant(1.0).pad_to(n_in)]
     for root, mult in qfac.roots_inside:
         for order in range(mult):
@@ -511,8 +506,7 @@ def kernel_basis_p0(
     for shape in hom_shapes:
         for phase in (1.0, 1.0j):
             ht = shape * phase
-            hprime = multiply(ONE_MINUS, ht)
-            prod = multiply(hprime, rz0)
+            prod = multiply(rz1, ht)
             realpart = prod + prod.conjugate()
             gprime = analytic_from_real_part(TrigSeries.real_symmetrized(realpart.coeffs))
             gt = divide_one_minus_zeta(gprime).truncate(n_in)
@@ -522,7 +516,10 @@ def kernel_basis_p0(
 
     coords = np.array([v / np.linalg.norm(v) for v in raw])
     residuals = tuple(float(np.max(np.abs(matrix @ v))) for v in coords)
-    bad = [res for res in residuals if res > 1e-9]
+    # unit vectors against entries of up to hundreds: the gate scales with
+    # max|A|, taken without a temporary the size of A
+    gate = 1e-9 * max(matrix.max(), -matrix.min())
+    bad = [res for res in residuals if res > gate]
     if bad:
         raise NumericalError(f"kernel candidate fails to annihilate: {max(bad):.3e}")
     gram = coords @ coords.T
@@ -587,10 +584,16 @@ def solve_newton(
     if x_norm_distance(r) > opts.x_norm_bound:
         raise NumericalError("defining function too far from its model")
     n_in = opts.n_max
+    n_out = _default_n_out(model.d, model.k0, n_in)
+    jac_bytes = 8 * (6 * n_out + 1) * 4 * (n_in + 1)
+    if jac_bytes > MAX_JACOBIAN_BYTES:
+        raise ConfigError(
+            f"solver N = {n_in} needs a {jac_bytes / 2**30:.2f} GiB Jacobian at d = {model.d}, "
+            f"k0 = {model.k0} (cap {MAX_JACOBIAN_BYTES / 2**30:g} GiB)"
+        )
     c = weight_series(b, model.k0)
     htilde = divide_one_minus_zeta(init.h, tol=1e-6).truncate(n_in).pad_to(n_in)
     gtilde = divide_one_minus_zeta(init.g, tol=1e-6).truncate(n_in).pad_to(n_in)
-    n_out = _default_n_out(model.d, model.k0, n_in)
     inner_tol = 0.01 * opts.tol
 
     x = pack_series(htilde, gtilde, n_in)

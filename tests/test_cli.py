@@ -67,6 +67,7 @@ def test_config_errors_exit_2(tmp_path):
     assert rc == 2
     # malformed values are config errors too, never a traceback
     disc = {"b": [0.0, 0.0], "v": [1.0, 0.0]}
+    disc_b = {"b": [0.1, 0.0], "v": [1.0, 0.0]}
     nan_model = {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": math.nan, "im": 0.0}]}
     bogus_term = {"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]], "bogus": 1}
     huge_map = {"d": 4, "H1": [[math.inf, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
@@ -85,6 +86,10 @@ def test_config_errors_exit_2(tmp_path):
         ("analyze", {"model": {**Z4_MODEL, "extra": 1}}),
         ("analyze", {"model": Z4_MODEL, "perturbation": {"terms": [bogus_term]}}),
         ("determine", {"model": Z4_MODEL, "params": {"map": huge_map}}),  # 1e400 in JSON
+        # sizes past their caps are refused before anything is allocated
+        ("disc", {"model": Z4_MODEL, "solver": {"N": 70000}, "params": {"disc": disc_b}}),
+        ("residual", {"model": Z4_MODEL, "solver": {"N": 1e300}, "params": {"disc": disc_b}}),
+        ("gap", {"model": Z4_MODEL, "params": {"n_angles": 10**15}}),
     ]
     for k, (command, config) in enumerate(malformed):
         rc, _ = _run(tmp_path, command, config, name=f"m{k}.json")

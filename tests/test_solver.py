@@ -3,11 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discforge.discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual
+from discforge.discs import (
+    LiftedDisc,
+    ModelDiscParams,
+    boundary_powers,
+    model_disc,
+    stationarity_residual,
+    substitute_boundary,
+)
 from discforge.exceptions import ConfigError, NumericalError
 from discforge.model import ModelPolynomial, factor_Q
 from discforge.perturb import DefiningFunction, PerturbationTerm
-from discforge.series import TrigSeries, coeff_distance, divide_one_minus_zeta
+from discforge.series import ONE_MINUS, TrigSeries, coeff_distance, divide_one_minus_zeta, multiply
 from discforge.solver import (
     SolverOptions,
     eval_T_prime,
@@ -28,6 +35,7 @@ from discforge.solver import (
     _multipliers,
     _nonzero_rows,
     _operator_value,
+    _trace,
     _weight_from_coords,
 )
 
@@ -38,6 +46,12 @@ def _abs_power(d):
 
 def _model_d4k3():
     return ModelPolynomial.from_upper(4, 3, {2: 1.0, 3: 0.25})
+
+
+def _grid_model(d, split):
+    """The newton_grid models: ``|z|^d``, or split roots with k0 = d/2 + 1."""
+    half = d // 2
+    return ModelPolynomial.from_upper(d, half + 1, {half + 1: 0.25, half: 1.0}) if split else _abs_power(d)
 
 
 def _pure(model):
@@ -327,6 +341,61 @@ def test_zero_rows_trimmed_exactly(l):
     assert np.linalg.norm(trimmed - full) <= 1e-12 * np.linalg.norm(full)
 
 
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("l", [0, 1])
+def test_trace_with_all_factors_is_plain_substitution(d, split, l):
+    # extra = d - 1 keeps every (1 - zeta) the factored substitution cancels,
+    # which is the plain trace along (h, conj h, Im g); extra = d is that times 1 - zeta
+    model, half = _grid_model(d, split), d // 2
+    if l == 0:
+        r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 0.01}),), {})
+    else:
+        term = PerturbationTerm(half, half - 1, 1, {(0, 0): 0.005 + 0.002j})
+        r = DefiningFunction(model, (term,), {2: 0.003})
+    disc = model_disc(model, ModelDiscParams(0.15 - 0.1j, 0.8), n_max=16)
+    n_in = 12
+    ht, gt = (divide_one_minus_zeta(s).truncate(n_in) for s in (disc.h, disc.g))
+    base = pack_series(ht, gt, n_in)
+    noise = np.random.default_rng(d + l).standard_normal(base.size) * 0.01
+    ht, gt = unpack_series(base + noise, n_in)
+    point = _Point(ht, gt)
+    pows = boundary_powers(point.h, point.g)
+    for mon in (r.rz_mon(), r.rw_mon(), r.big_r_mon()):
+        plain = substitute_boundary(mon, pows)
+        tol = 1e-12 * plain.sup_norm()
+        assert (_trace(mon, d, point, d - 1) - plain).sup_norm() <= tol
+        assert (_trace(mon, d, point, d) - multiply(ONE_MINUS, plain)).sup_norm() <= tol
+
+
+@pytest.mark.parametrize(
+    "d, split, counts",
+    [
+        (4, False, [(386, 0, 387), (390, 0, 391)]),
+        (6, True, [(824, 0, 515), (824, 0, 521)]),
+    ],
+)
+def test_newton_jacobian_nonzero_rows_pinned(monkeypatch, d, split, counts):
+    # the T1/T2/T3 rows of the first two Newton Jacobians that are not exactly
+    # zero, for a newton_grid case at N=64: a multiplier that fills structurally
+    # zero modes with rounding noise grows every least-squares problem
+    model, half = _grid_model(d, split), d // 2
+    seen = []
+
+    def recording(matrix):
+        keep = _nonzero_rows(matrix)
+        n_out = (matrix.shape[0] - 1) // 6
+        blocks = ((0, 2 * n_out), (2 * n_out, 4 * n_out), (4 * n_out, None))
+        seen.append(tuple(int(keep[i:j].sum()) for i, j in blocks))
+        return keep
+
+    monkeypatch.setattr(solver, "_nonzero_rows", recording)
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=64)
+    assert solve_newton(r, factor_Q(model), 0.1, init, SolverOptions(n_max=64)).converged
+    assert seen[:2] == counts
+
+
 def test_newton_on_trimmed_rows_matches_full_rows(monkeypatch):
     model = _model_d4k3()
     qfac = factor_Q(model)
@@ -393,6 +462,37 @@ def test_kernel_basis_annihilates():
         assert max(basis.residuals) < 1e-9
         gram = basis.coords @ basis.coords.T
         assert np.linalg.cond(gram) < 1e6
+
+
+def test_kernel_gate_scales_with_the_matrix(monkeypatch):
+    # a random d=6, k0=5 model whose linearization has entries up to 2.1e2:
+    # its basis annihilates to 8.9e-9, inside 1e-9 of the largest entry
+    alpha = {
+        3: 1.5391694096423825,
+        4: -0.16099038295856888 - 0.23154544964129667j,
+        5: 0.7135720856620185 + 0.6293821852620319j,
+    }
+    model = ModelPolynomial.from_upper(6, 5, alpha)
+    qfac = factor_Q(model)
+    basis = kernel_basis_p0(model, qfac)
+    assert basis.dim == 4 * model.k0 - model.d + 3
+    assert 1e-9 < max(basis.residuals)
+    # a g component nudged by 1e-3 zeta off the kernel still fails the gate
+    exact = solver.analytic_from_real_part
+    nudge = TrigSeries.from_mode_dict({1: 1e-3, 2: -1e-3})
+    monkeypatch.setattr(solver, "analytic_from_real_part", lambda p: exact(p) + nudge)
+    with pytest.raises(NumericalError, match="fails to annihilate"):
+        kernel_basis_p0(model, qfac)
+
+
+def test_newton_refuses_an_oversized_jacobian():
+    # d=6, k0=4 needs 1.2 GiB at N=1024: refused before anything is assembled
+    model = _grid_model(6, True)
+    init = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=16)
+    with pytest.raises(ConfigError, match="Jacobian"):
+        solve_newton(_pure(model), factor_Q(model), 0.1, init, SolverOptions(n_max=1024))
+    with pytest.raises(ConfigError, match="exceeds the cap"):
+        SolverOptions(n_max=solver.MAX_N + 1)
 
 
 def test_kernel_basis_weight_coupling_frozen():
