@@ -43,6 +43,7 @@ from .model import (
     winding_number,
 )
 from .perturb import BiholoMap, DefiningFunction
+from .series import MAX_ORDER
 from .solver import (
     SolverOptions,
     kernel_basis_p0,
@@ -98,6 +99,12 @@ class RunConfig:
         else:
             defn = DefiningFunction.pure(model)
         opts = SolverOptions.from_dict(data.get("solver", {}))
+        # a disc of order N substituted into a degree-d model gives series of
+        # order up to d (N + 2); refuse what series cannot hold before building it
+        if model.d * (opts.n_max + 2) > MAX_ORDER:
+            raise ConfigError(
+                f"d (N + 2) = {model.d * (opts.n_max + 2)} exceeds the series order cap {MAX_ORDER}"
+            )
         params = strict_keys(data.get("params", {}), _PARAM_KEYS[command], f"{command} parameter")
         return cls(model, defn, opts, dict(params))
 
@@ -231,7 +238,7 @@ def cmd_jet(cfg: RunConfig) -> dict:
         raw = cfg.params["jets"]
         try:
             jets = np.array([complex(re, im) for re, im in raw])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"params.jets must be [re, im] pairs: {exc}") from None
         series = jet_reconstruct(cfg.model, qfac, jets)
         report["reconstruction"] = series.to_dict()
@@ -265,7 +272,7 @@ def cmd_determine(cfg: RunConfig) -> dict:
     if "b_values" in cfg.params:
         try:
             kwargs["b_values"] = tuple(complex(re, im) for re, im in cfg.params["b_values"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"params.b_values must be [re, im] pairs: {exc}") from None
     if "boundary_tol" in cfg.params:
         kwargs["boundary_tol"] = _number(cfg.params["boundary_tol"], float, "params.boundary_tol")

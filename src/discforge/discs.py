@@ -85,7 +85,7 @@ class ModelDiscParams:
             b = complex(*data["b"])
             v = complex(*data["v"])
             theta = float(data.get("theta", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed disc parameters: {exc}") from None
         return cls(b, v, theta)
 

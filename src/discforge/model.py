@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 
+# Highest accepted model degree.  A model lists 2 k0 - d + 1 coefficients and
+# its curvature polynomial Q has degree about 2 d, so d is capped before either
+# is built; 64 is eight times the largest degree the tests, examples and
+# benchmarks use.  How far a disc of degree d can be resolved is checked
+# separately, against the truncation order (``RunConfig``).
+MAX_DEGREE = 64
+
+
 @dataclass(frozen=True)
 class ModelPolynomial:
     """Hermitian coefficient data for one model hypersurface."""
@@ -44,6 +52,8 @@ class ModelPolynomial:
         d, k0 = self.d, self.k0
         if d < 2 or d % 2 != 0:
             raise ConfigError("degree d must be even and >= 2")
+        if d > MAX_DEGREE:
+            raise ConfigError(f"degree d = {d} exceeds the cap {MAX_DEGREE}")
         if not (d // 2 <= k0 <= d - 1):
             raise ConfigError("k0 must satisfy d/2 <= k0 <= d-1")
         full = {}
@@ -69,7 +79,7 @@ class ModelPolynomial:
         alpha: dict[int, complex] = {}
         for j, v in upper.items():
             j = int(j)
-            if j < d / 2:
+            if 2 * j < d:
                 raise ConfigError("from_upper takes only indices with j >= d/2")
             if 2 * j == d and abs(complex(v).imag) > 1e-14 * max(1.0, abs(v)):
                 raise ConfigError("the middle coefficient must be real")

@@ -74,8 +74,9 @@ class OperatorValue:
 
 
 # Largest accepted truncation order N.  Substitutions along a disc of order N
-# build series of order about d N, which series.MAX_ORDER (65536) holds for
-# d <= 16.  A solve is bounded separately, by the size of its Jacobian.
+# build series of order up to d (N + 2), which a run config keeps within
+# series.MAX_ORDER (65536).  A solve is bounded separately, by the size of its
+# Jacobian.
 MAX_N = 4096
 # Largest dense Jacobian ``solve_newton`` assembles, in bytes; lstsq works on a
 # trimmed copy of up to the same size, so a solve may need twice this.
@@ -349,16 +350,55 @@ def _multipliers(
     )
 
 
+# A multiplier coefficient at most this fraction of the largest one is rounding
+# noise, and so is every Jacobian entry made of it.  Rows that only such
+# coefficients reach change the least-squares step at rounding level, so the
+# Newton Jacobian stops at the last row a larger coefficient reaches.
+CARRIER_GATE = np.finfo(float).eps
+
+
+def _carrier_n_out(mults: _Multipliers, n_in: int, n_weight: int | None, n_out: int) -> int:
+    """Largest row mode any multiplier coefficient above the gate reaches, at most ``n_out``.
+
+    A column shifts ``lin`` by ``zeta^n`` and ``anti`` by ``zeta^-n``, ``0 <= n
+    <= n_cols``: in the T1/T2 rows (modes ``-1 .. -n_out``) the pair reaches
+    ``max(-lowest lin mode, n_cols - lowest anti mode)``, in the T3 rows
+    (modes ``0 .. n_out``) ``max(highest lin mode + n_cols, highest anti mode)``.
+    The gate is relative to the largest coefficient of all multipliers, that
+    is to the largest Jacobian entry.
+    """
+    pairs = [(block, pair, n_in) for family in (mults.h, mults.g) for block, pair in enumerate(family)]
+    if mults.weight is not None:
+        pairs += [(block, (m, m), n_weight) for block, m in enumerate(mults.weight)]
+    gate = CARRIER_GATE * max(float(np.max(np.abs(s.coeffs))) for _, pair, _ in pairs for s in pair)
+    reach = 1
+    for block, (lin, anti), n_cols in pairs:
+        for series, offset in ((lin, 0), (anti, n_cols)) if block < 2 else ((lin, n_cols), (anti, 0)):
+            big = np.flatnonzero(np.abs(series.coeffs) > gate) - series.n_max
+            if big.size:
+                reach = max(reach, offset - big[0] if block < 2 else big[-1] + offset)
+    return min(int(reach), n_out)
+
+
 def _linearize(
     defn: DefiningFunction,
     qfac: QFactorization,
     c: TrigSeries,
     point: _Point,
     n_in: int,
-    n_out: int,
+    n_out: int | None,
     n_weight: int | None,
 ) -> LinearizedOperator:
+    """The Jacobian at ``point`` with rows up to mode ``n_out``.
+
+    With ``n_out=None`` the rows stop at the multipliers' numerical carrier
+    (``_carrier_n_out``), at most the formal ``_default_n_out``; the result's
+    ``n_out`` says where.
+    """
     mults = _multipliers(defn, qfac, c, point, with_weight=n_weight is not None)
+    if n_out is None:
+        formal = _default_n_out(defn.model.d, defn.model.k0, n_in)
+        n_out = _carrier_n_out(mults, n_in, n_weight, formal)
     n_wcols = 0 if n_weight is None else 2 * n_weight + 1
     a = np.zeros((6 * n_out + 1, n_wcols + 4 * (n_in + 1)))
 
@@ -559,6 +599,14 @@ class SolveResult:
     stationarity: tuple[float, float, float]
 
 
+def _check_decay(point: _Point) -> None:
+    """Raise unless the coefficients of ``h`` and ``g`` have decayed within the truncation."""
+    for series in (point.h, point.g):
+        scale = max(1.0, float(np.max(np.abs(series.coeffs))))
+        if series.coeff_decay() > 1e-7 * scale:
+            raise NumericalError("series truncation too small: coefficients have not decayed")
+
+
 def solve_newton(
     r: DefiningFunction,
     qfac: QFactorization,
@@ -570,13 +618,18 @@ def solve_newton(
 
     Unknowns are the analytic coefficients of ``ht, gt``; steps are
     minimal-norm least-squares solutions, which pins the in-fiber freedom (the
-    update never moves along the residual kernel).  Each step is solved on the
-    Jacobian rows that are not exactly zero (about half of them; the whole T2
-    block when the perturbation does not involve ``u``).  Such a row adds a
-    constant to the squared residual, so the minimal-norm step is the one of
-    the full system; the line search and the convergence test use the full
-    residual.  Convergence is declared on the reduced residual and re-checked
-    with the plain substitution residual.
+    update never moves along the residual kernel).  Each Jacobian stops at the
+    multipliers' numerical carrier (``_carrier_n_out``): rows that only
+    rounding-level coefficients reach are never assembled, which leaves a
+    problem about as tall as it is wide and moves the step at rounding level.
+    Each step is then solved on the rows that are not exactly zero (the whole
+    T2 block when the perturbation does not involve ``u``).  Such a row adds
+    a constant to the squared residual, so the minimal-norm step is the one
+    of the full system.  The line search and the convergence test use the
+    residual at the formal size.  Convergence is declared on the reduced
+    residual and re-checked with the plain substitution residual; an iterate
+    whose ``h`` or ``g`` has not decayed within the truncation is reported as
+    such, also when it is where the line search fails.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -598,37 +651,39 @@ def solve_newton(
 
     x = pack_series(htilde, gtilde, n_in)
     point = _Point(htilde, gtilde)
-    f = stack_value(_operator_value(r, qfac, c, point), n_out)
+    val = _operator_value(r, qfac, c, point)
+    f = stack_value(val, n_out)
     history = [float(np.max(np.abs(f)))]
     iterations = 0
     while history[-1] >= inner_tol and iterations < opts.max_iter:
-        jac = _linearize(r, qfac, c, point, n_in, n_out, n_weight=None).matrix
+        op = _linearize(r, qfac, c, point, n_in, None, n_weight=None)
+        rhs, jac = stack_value(val, op.n_out), op.matrix
+        del op
         keep = _nonzero_rows(jac)
         # release the full matrix before the solve, the trimmed one after it:
         # neither then lives on through the next assembly
         jac = jac[keep]
-        delta, *_ = np.linalg.lstsq(jac, -f[keep], rcond=opts.svd_threshold)
+        delta, *_ = np.linalg.lstsq(jac, -rhs[keep], rcond=opts.svd_threshold)
         del jac
         phi0 = float(f @ f)
         alpha = 1.0
         while True:
             x_try = x + alpha * delta
             point_try = _Point(*unpack_series(x_try, n_in))
-            f_try = stack_value(_operator_value(r, qfac, c, point_try), n_out)
+            val_try = _operator_value(r, qfac, c, point_try)
+            f_try = stack_value(val_try, n_out)
             if float(f_try @ f_try) <= (1.0 - 1e-4 * alpha) * phi0:
                 break
             alpha *= 0.5
             if alpha < 1e-10:
+                _check_decay(point)  # an under-resolved iterate is the cause to report
                 raise NumericalError("line search failed to reduce the residual")
-        x, point, f = x_try, point_try, f_try
+        x, point, val, f = x_try, point_try, val_try, f_try
         iterations += 1
         history.append(float(np.max(np.abs(f))))
 
+    _check_decay(point)
     disc = LiftedDisc(c, point.h, point.g)
-    for series in (disc.h, disc.g):
-        scale = max(1.0, float(np.max(np.abs(series.coeffs))))
-        if series.coeff_decay() > 1e-7 * scale:
-            raise NumericalError("series truncation too small: coefficients have not decayed")
     res = stationarity_residual(disc, r)
     converged = history[-1] < inner_tol and max(res) < opts.tol
     if not converged:

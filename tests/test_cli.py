@@ -2,9 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discforge.cli import main
 from discforge.discs import LiftedDisc, ModelDiscParams, model_disc
@@ -71,6 +75,7 @@ def test_config_errors_exit_2(tmp_path):
     nan_model = {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": math.nan, "im": 0.0}]}
     bogus_term = {"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]], "bogus": 1}
     huge_map = {"d": 4, "H1": [[math.inf, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
+    identity = {"d": 4, "H1": [[1, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
     malformed = [
         ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"re": 1.0}]}}),
         ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2}]}}),
@@ -90,6 +95,16 @@ def test_config_errors_exit_2(tmp_path):
         ("disc", {"model": Z4_MODEL, "solver": {"N": 70000}, "params": {"disc": disc_b}}),
         ("residual", {"model": Z4_MODEL, "solver": {"N": 1e300}, "params": {"disc": disc_b}}),
         ("gap", {"model": Z4_MODEL, "params": {"n_angles": 10**15}}),
+        # so are model degrees past the cap, and series past their order cap
+        ("analyze", {"model": {"d": 10**9, "k0": 10**9 - 1, "alpha": [{"j": 10**9 - 1, "re": 1.0}]}}),
+        ("residual", {"model": {"d": 40, "k0": 20, "alpha": [{"j": 20, "re": 1.0}]},
+                      "solver": {"N": 4096}, "params": {"disc": disc_b}}),
+        # integers past the float range, where a number is read as a float
+        ("analyze", {"model": {"d": -(10**400), "k0": 1, "alpha": [{"j": 1, "re": 1.0}]}}),
+        ("residual", {"model": Z4_MODEL, "params": {"disc": {"b": [10**400, 0], "v": [1, 0]}}}),
+        ("disc", {"model": Z4_MODEL, "params": {"disc": {**disc, "theta": -(10**400)}}}),
+        ("jet", {"model": Z4_MODEL, "params": {"jets": [[10**400, 0]]}}),
+        ("determine", {"model": Z4_MODEL, "params": {"map": identity, "b_values": [[0, 10**400]]}}),
     ]
     for k, (command, config) in enumerate(malformed):
         rc, _ = _run(tmp_path, command, config, name=f"m{k}.json")
@@ -256,3 +271,108 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 2
+
+
+# ---- the exit-code contract, for any config ----------------------------------
+
+_GARBAGE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _or_garbage(valid):
+    # garbage at one key in ten, so that most configs get past the parsers
+    return st.integers(0, 9).flatmap(lambda k: _GARBAGE if k == 0 else valid)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _model_configs(draw):
+    d = draw(st.sampled_from(range(2, 13, 2)))
+    k0 = draw(st.integers(d // 2, d - 1))
+    alpha = []
+    for j in range(d // 2, k0 + 1):
+        im = 0.0 if 2 * j == d else draw(_or_garbage(_UNIT))
+        re = 1.0 if j == k0 else draw(_or_garbage(_UNIT))
+        alpha.append(draw(_or_garbage(st.just({"j": draw(_or_garbage(st.just(j))), "re": re, "im": im}))))
+    model = {"d": draw(_or_garbage(st.just(d))), "k0": draw(_or_garbage(st.just(k0))), "alpha": alpha}
+    return draw(_or_garbage(st.just(model)))
+
+
+_TERMS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "i": _or_garbage(st.integers(0, 4)),
+            "j": _or_garbage(st.integers(0, 4)),
+            "l": _or_garbage(st.integers(0, 1)),
+            "coeffs": _or_garbage(
+                st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), _UNIT, _UNIT).map(list), max_size=2)
+            ),
+        }
+    ),
+    max_size=2,
+)
+_THETA1 = st.lists(st.tuples(st.integers(2, 4), _UNIT).map(list), max_size=2)
+_PAIR = st.tuples(st.floats(-0.45, 0.45), st.floats(-0.3, 0.3)).map(list)
+_DISC = st.fixed_dictionaries(
+    {"b": _or_garbage(_PAIR), "v": _or_garbage(_PAIR.map(lambda p: [1.0 + p[0], p[1]]))},
+    optional={"theta": _or_garbage(_UNIT)},
+)
+_SOLVER = st.fixed_dictionaries(
+    {},
+    optional={
+        "N": _or_garbage(st.integers(4, 64)),
+        "tol": _or_garbage(st.floats(1e-12, 1e-6)),
+        "max_iter": _or_garbage(st.integers(1, 5)),
+        "svd_threshold": _or_garbage(st.floats(1e-12, 1e-6)),
+        "x_norm_bound": _or_garbage(st.floats(0.1, 20.0)),
+    },
+)
+_PARAMS = {
+    "analyze": st.just({}),
+    "disc": st.fixed_dictionaries(
+        {"disc": _or_garbage(_DISC)}, optional={"samples": _or_garbage(st.integers(1, 64))}
+    ),
+    "residual": st.fixed_dictionaries({"disc": _or_garbage(_DISC)}),
+}
+
+
+def _configs(command):
+    """A config for ``command``: mostly valid, garbage at about one key in ten."""
+    config = st.fixed_dictionaries(
+        {"model": _model_configs(), "params": _or_garbage(_PARAMS[command])},
+        optional={
+            "schema": _or_garbage(st.just(1)),
+            "perturbation": _or_garbage(
+                st.fixed_dictionaries(
+                    {}, optional={"terms": _or_garbage(_TERMS), "theta1": _or_garbage(_THETA1)}
+                )
+            ),
+            "solver": _or_garbage(_SOLVER),
+        },
+    )
+    # and now and then a key no section knows
+    return st.tuples(config, _or_garbage(st.none())).map(
+        lambda pair: pair[0] if pair[1] is None else {**pair[0], "bogus": pair[1]}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["analyze", "disc", "residual"]).flatmap(lambda c: st.tuples(st.just(c), _configs(c))))
+def test_any_config_exits_0_1_or_2(case):
+    # the exit-code contract: success, numerical failure or config error, and
+    # never an exception escaping main
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)

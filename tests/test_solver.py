@@ -29,7 +29,9 @@ from discforge.solver import (
 )
 from discforge import solver
 from discforge.solver import (
+    _Multipliers,
     _Point,
+    _carrier_n_out,
     _default_n_out,
     _linearize,
     _multipliers,
@@ -368,6 +370,34 @@ def test_trace_with_all_factors_is_plain_substitution(d, split, l):
         assert (_trace(mon, d, point, d) - multiply(ONE_MINUS, plain)).sup_norm() <= tol
 
 
+def _newton_row_counts(monkeypatch, d, split):
+    """T1/T2/T3 rows that are not exactly zero, in each Jacobian of a newton_grid solve at N=64.
+
+    Returns the counts of a formal-size Jacobian at each point the solve
+    linearizes at, and those of the carrier-sized Jacobian the solve uses.
+    """
+    model, half = _grid_model(d, split), d // 2
+    formal, carrier = [], []
+
+    def counts(op):
+        keep, n_out = _nonzero_rows(op.matrix), op.n_out
+        blocks = ((0, 2 * n_out), (2 * n_out, 4 * n_out), (4 * n_out, None))
+        return tuple(int(keep[i:j].sum()) for i, j in blocks)
+
+    def recording(defn, qfac, c, point, n_in, n_out, n_weight):
+        formal_n_out = _default_n_out(defn.model.d, defn.model.k0, n_in)
+        formal.append(counts(_linearize(defn, qfac, c, point, n_in, formal_n_out, n_weight)))
+        op = _linearize(defn, qfac, c, point, n_in, n_out, n_weight)
+        carrier.append(counts(op))
+        return op
+
+    monkeypatch.setattr(solver, "_linearize", recording)
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=64)
+    assert solve_newton(r, factor_Q(model), 0.1, init, SolverOptions(n_max=64)).converged
+    return formal, carrier
+
+
 @pytest.mark.parametrize(
     "d, split, counts",
     [
@@ -379,21 +409,42 @@ def test_newton_jacobian_nonzero_rows_pinned(monkeypatch, d, split, counts):
     # the T1/T2/T3 rows of the first two Newton Jacobians that are not exactly
     # zero, for a newton_grid case at N=64: a multiplier that fills structurally
     # zero modes with rounding noise grows every least-squares problem
-    model, half = _grid_model(d, split), d // 2
-    seen = []
-
-    def recording(matrix):
-        keep = _nonzero_rows(matrix)
-        n_out = (matrix.shape[0] - 1) // 6
-        blocks = ((0, 2 * n_out), (2 * n_out, 4 * n_out), (4 * n_out, None))
-        seen.append(tuple(int(keep[i:j].sum()) for i, j in blocks))
-        return keep
-
-    monkeypatch.setattr(solver, "_nonzero_rows", recording)
-    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
-    init = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=64)
-    assert solve_newton(r, factor_Q(model), 0.1, init, SolverOptions(n_max=64)).converged
+    seen, _ = _newton_row_counts(monkeypatch, d, split)
     assert seen[:2] == counts
+
+
+@pytest.mark.parametrize(
+    "d, split, counts",
+    [
+        (4, False, [(162, 0, 163), (162, 0, 163)]),
+        (6, True, [(168, 0, 169), (168, 0, 169)]),
+    ],
+)
+def test_newton_jacobian_carrier_rows_pinned(monkeypatch, d, split, counts):
+    # the same Jacobians stopped at the multipliers' numerical carrier: rows
+    # only rounding-level coefficients reach are never assembled
+    _, seen = _newton_row_counts(monkeypatch, d, split)
+    assert seen[:2] == counts
+
+
+@pytest.mark.parametrize(
+    "block, side, mode, reach",
+    [(0, 0, -30, 30), (0, 1, -30, 40), (1, 0, -25, 25), (1, 1, -25, 35), (2, 0, 30, 40), (2, 1, 30, 30)],
+)
+def test_carrier_reach_of_each_multiplier(block, side, mode, reach):
+    # one multiplier holds a coefficient at ``mode`` and rounding-level ones at
+    # +-100; a column n <= n_in shifts lin by zeta^n and anti by zeta^-n, so the
+    # T1/T2 rows (negative modes) and the T3 rows (modes >= 0) see different ends
+    n_in, zero = 10, TrigSeries.zero()
+    series = TrigSeries.from_mode_dict({mode: 0.5 - 0.5j, -100: 1e-17, 100: 1e-17})
+    pairs = tuple(tuple(series if (b, k) == (block, side) else zero for k in range(2)) for b in range(3))
+    zeros = ((zero, zero),) * 3
+    for mults in (_Multipliers(pairs, zeros, None), _Multipliers(zeros, pairs, None)):
+        assert _carrier_n_out(mults, n_in, None, 1000) == reach
+        assert _carrier_n_out(mults, n_in, None, 20) == 20
+    if block < 2:  # the weight acts on T1/T2 with lin = anti, for n <= n_weight
+        weight = (series, zero) if block == 0 else (zero, series)
+        assert _carrier_n_out(_Multipliers(zeros, zeros, weight), n_in, 3, 1000) == 3 - mode
 
 
 def test_newton_on_trimmed_rows_matches_full_rows(monkeypatch):
@@ -408,6 +459,25 @@ def test_newton_on_trimmed_rows_matches_full_rows(monkeypatch):
     assert trimmed.iterations == full.iterations > 0
     assert coeff_distance(trimmed.disc.h, full.disc.h) < 1e-10
     assert coeff_distance(trimmed.disc.g, full.disc.g) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "model, b, n, tol",
+    [(_model_d4k3(), 0.1j, 48, 1e-12), (_grid_model(6, True), -0.45, 64, 1e-9)],
+)
+def test_newton_on_carrier_rows_matches_formal_rows(monkeypatch, model, b, n, tol):
+    # dropping the rows only rounding-level multiplier coefficients reach moves
+    # the iterates at rounding level: the same steps, the same disc
+    qfac, half = factor_Q(model), model.d // 2
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
+    opts = SolverOptions(n_max=n)
+    carrier = solve_newton(r, qfac, b, init, opts)
+    monkeypatch.setattr(solver, "_carrier_n_out", lambda mults, n_in, n_weight, n_out: n_out)
+    formal = solve_newton(r, qfac, b, init, opts)
+    assert carrier.iterations == formal.iterations > 0
+    assert coeff_distance(carrier.disc.h, formal.disc.h) <= tol
+    assert coeff_distance(carrier.disc.g, formal.disc.g) <= tol
 
 
 def test_kernel_dimension_by_svd():
@@ -578,6 +648,19 @@ def test_newton_nonzero_b_perturbed():
     assert max(result.stationarity) < 1e-9
     # the weight stays pinned at c(b)
     assert coeff_distance(result.disc.c, init.c) == 0.0
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_newton_reports_under_resolution_not_the_line_search(n):
+    # newton_grid seed 4 d4-k3-b0.45-p3: the line search stalls at an iterate
+    # whose g tail is 6e-7 to 9e-7 of its scale, above the decay gate, so the
+    # truncation is reported, whichever way the last bits of the step fall
+    model = _grid_model(4, True)
+    b, eps = 0.4006313092466119 + 0.20492572813423318j, -0.000640153662736693 + 0.0007682468926619856j
+    r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): eps}),), {})
+    init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
+    with pytest.raises(NumericalError, match="truncation too small"):
+        solve_newton(r, factor_Q(model), b, init, SolverOptions(n_max=n))
 
 
 def test_newton_error_paths():
