@@ -27,8 +27,12 @@ independent oracle.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -607,6 +611,50 @@ def _check_decay(point: _Point) -> None:
             raise NumericalError("series truncation too small: coefficients have not decayed")
 
 
+# Newton steps with at most this many unknowns (4 (N + 1): N <= 191) are
+# solved on one BLAS thread.  At that size a second OpenBLAS thread does not
+# make lstsq faster (2 cores: 330 x 260 and 650 x 516 take the same time on
+# one thread or two), but each of the many level-2 calls inside it then waits
+# on the other core, so a step slows down two- to threefold whenever another
+# process holds that core.  Larger steps keep the threads: at 1300 x 1028 two
+# threads are about 25% faster.
+SERIAL_LSTSQ_COLS = 768
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS bundled with numpy, or ``None``."""
+    root = Path(np.__file__).resolve().parent
+    names = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+             ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+             ("openblas_get_num_threads", "openblas_set_num_threads"))
+    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(root.glob(".dylibs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # already loaded by numpy: the same handle
+        except OSError:
+            continue
+        for get, set_ in names:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+@contextlib.contextmanager
+def _serial_blas():
+    """Run the block on one OpenBLAS thread, then restore the count; a no-op without OpenBLAS."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def solve_newton(
     r: DefiningFunction,
     qfac: QFactorization,
@@ -629,7 +677,9 @@ def solve_newton(
     residual at the formal size.  Convergence is declared on the reduced
     residual and re-checked with the plain substitution residual; an iterate
     whose ``h`` or ``g`` has not decayed within the truncation is reported as
-    such, also when it is where the line search fails.
+    such, also when it is where the line search fails.  Steps of up to
+    ``SERIAL_LSTSQ_COLS`` unknowns run on one BLAS thread, which keeps their
+    time steady when another process shares the cores.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -663,7 +713,8 @@ def solve_newton(
         # release the full matrix before the solve, the trimmed one after it:
         # neither then lives on through the next assembly
         jac = jac[keep]
-        delta, *_ = np.linalg.lstsq(jac, -rhs[keep], rcond=opts.svd_threshold)
+        with _serial_blas() if jac.shape[1] <= SERIAL_LSTSQ_COLS else contextlib.nullcontext():
+            delta, *_ = np.linalg.lstsq(jac, -rhs[keep], rcond=opts.svd_threshold)
         del jac
         phi0 = float(f @ f)
         alpha = 1.0

@@ -480,6 +480,31 @@ def test_newton_on_carrier_rows_matches_formal_rows(monkeypatch, model, b, n, to
     assert coeff_distance(carrier.disc.g, formal.disc.g) <= tol
 
 
+@pytest.mark.parametrize("cols, serial", [(solver.SERIAL_LSTSQ_COLS, True), (0, False)])
+def test_newton_steps_up_to_the_cap_run_on_one_blas_thread(monkeypatch, cols, serial):
+    # the caller's thread count is restored after the solve and after a raise
+    threads = solver._openblas_threads()
+    count = (lambda: None) if threads is None else threads[0]
+    before, seen, lstsq = count(), [], np.linalg.lstsq
+
+    def recording(*args, **kwargs):
+        seen.append(count())
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    monkeypatch.setattr(solver, "SERIAL_LSTSQ_COLS", cols)
+    model = _model_d4k3()
+    r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(0.1j, 1.0), n_max=48)
+    solve_newton(r, factor_Q(model), 0.1j, init, SolverOptions(n_max=48))
+    expected = before if threads is None or not serial else 1
+    assert seen and set(seen) == {expected}
+    assert count() == before
+    with pytest.raises(RuntimeError), solver._serial_blas():
+        raise RuntimeError
+    assert count() == before
+
+
 def test_kernel_dimension_by_svd():
     for model, expected in (
         (_abs_power(2), 5),
