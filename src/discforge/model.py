@@ -234,8 +234,9 @@ def factor_Q(model: ModelPolynomial, circle_margin: float = 1e-8) -> QFactorizat
     """Factor ``Q`` over its nonzero roots and split them across the circle.
 
     Roots come from the companion matrix with a Newton polish; any root with
-    modulus within ``circle_margin`` of 1 is rejected as numerically
-    unresolvable.  For an admissible model the counts must balance:
+    modulus within ``circle_margin`` of 1 means the boundary curvature
+    vanishes on the circle: the input breaks the paper's hypotheses, a
+    ``ConfigError``.  For an admissible model the counts must balance:
     ``ell0 = i0 = k0 - d/2``.
     """
     d, k0 = model.d, model.k0
@@ -266,8 +267,8 @@ def factor_Q(model: ModelPolynomial, circle_margin: float = 1e-8) -> QFactorizat
         if abs(np.polyval(power, r)) > 1e-10 * scale * max(1.0, abs(r)) ** (deg - 1):
             raise NumericalError("root polish failed to converge")
         if abs(abs(r) - 1.0) <= circle_margin:
-            raise NumericalError(
-                f"root {r} lies within {circle_margin} of the unit circle"
+            raise ConfigError(
+                f"[hypothesis] root {r} lies within {circle_margin} of the unit circle"
             )
         if abs(r) < 1.0:
             inside.append((r, m))
@@ -340,7 +341,7 @@ def random_admissible_model(rng: np.random.Generator, d: int, k0: int) -> ModelP
             if check_subharmonic(candidate) > 1e-6:
                 try:
                     factor_Q(candidate)
-                except NumericalError:
+                except (ConfigError, NumericalError):
                     break  # circle-pinned root: redraw
                 return candidate
             lam = 0.5 if lam == 0.0 else 2.0 * lam

@@ -22,7 +22,10 @@ conj(zeta gt)`` that every trace at that point reads.
 
 The linearization is assembled from multiplier series and index shifts, never
 from finite differences; a difference quotient appears only in the tests as an
-independent oracle.
+independent oracle.  When ``r`` does not involve ``u = Im w``, ``gt`` enters
+the linearization only through ``-Re((1 - zeta) gt)`` in T3, the boundary
+condition that fixes ``Re g`` once ``h`` is fixed; a Newton step then
+eliminates ``gt`` in closed form and factors the ``h`` columns alone.
 """
 
 from __future__ import annotations
@@ -603,6 +606,80 @@ class SolveResult:
     stationarity: tuple[float, float, float]
 
 
+def _eval_at_one(n_in: int) -> np.ndarray:
+    """``w``: ``w . y`` is the value at ``zeta = 1`` of the T3 rows ``y`` of modes ``0 .. n_in + 1``."""
+    w = np.zeros(2 * n_in + 3)
+    w[0], w[1::2] = 1.0, 2.0
+    return w
+
+
+def _g_pinv(y: np.ndarray, n_in: int) -> np.ndarray:
+    """``G⁺ y``, for ``G: gt -> -Re((1 - zeta) gt)`` on the T3 rows of modes ``0 .. n_in + 1``.
+
+    ``G`` is injective and its range is ``{y : w . y = 0}`` (``w`` from
+    ``_eval_at_one``), so ``G⁺`` projects ``w`` out, reads ``p = (1 - zeta) gt``
+    off the rows, with ``Im p_0`` from ``p(1) = 0``, and sums ``gt`` back
+    from ``p``.  O(n) per column of ``y``.
+    """
+    w = _eval_at_one(n_in)
+    y = y - np.multiply.outer(w, w @ y) / (w @ w)
+    p = np.empty((n_in + 2,) + y.shape[1:], dtype=complex)
+    p[1:] = -2.0 * (y[1::2] + 1j * y[2::2])
+    p[0] = -y[0] - 1j * p[1:].imag.sum(axis=0)
+    gt = np.cumsum(p, axis=0)[: n_in + 1]
+    out = np.empty((2 * (n_in + 1),) + y.shape[1:])
+    out[0::2], out[1::2] = gt.real, gt.imag
+    return out
+
+
+def _eliminate_g(
+    jac: np.ndarray, rhs: np.ndarray, n_in: int, n_out: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The h-only least-squares problem of a Jacobian whose ``r`` does not involve ``u``.
+
+    Then the T1/T2 rows do not see ``gt``, and the T3 rows see it only through
+    ``G`` on the modes ``0 .. n_in + 1`` (``_g_pinv``).  For a fixed ``dh`` the
+    best ``dg`` is ``-G⁺ (A_top dh + f_top)``, which leaves of those rows only
+    their component along ``w``.  Returns the matrix and right-hand side of
+    the T1 rows, that one row and the T3 rows above mode ``n_in + 1``, on the
+    h columns, with ``(G⁺ A_top, G⁺ f_top)``; all are copies, so ``jac`` can be
+    released.  The T2 rows are exactly zero and left out.
+    """
+    h = slice(0, 2 * (n_in + 1))
+    top = slice(4 * n_out, 4 * n_out + 2 * n_in + 3)
+    w = _eval_at_one(n_in)
+    w /= np.linalg.norm(w)
+    a_top, f_top = jac[top, h], rhs[top]
+    mat = np.vstack([jac[: 2 * n_out, h], w @ a_top, jac[top.stop :, h]])
+    vec = np.concatenate([rhs[: 2 * n_out], [w @ f_top], rhs[top.stop :]])
+    return mat, vec, (_g_pinv(a_top, n_in), _g_pinv(f_top, n_in))
+
+
+def _h_only_step(
+    mat: np.ndarray, rhs: np.ndarray, lift: tuple[np.ndarray, np.ndarray], rcond: float
+) -> np.ndarray:
+    """The full system's minimal-norm least-squares step ``[dh; dg]``, from ``_eliminate_g``'s problem.
+
+    ``mat dh ~ -rhs`` is factored once: the triangular factor of ``[mat |
+    rhs]``, without ``Q``, then the SVD of its square part, cut at ``rcond``
+    times ``mat``'s largest singular value.  ``dg`` follows from ``lift``.  The
+    full system's least-squares steps are this one plus the lift of ``ker
+    mat``, so projecting that lift out gives the minimal-norm step.
+    """
+    gp_a, gp_f = lift
+    n = mat.shape[1]
+    tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
+    u, s, vt = np.linalg.svd(tri[:, :n])
+    rank = int(np.sum(s > rcond * s[0]))
+    dh = -vt[:rank].T @ ((u[:, :rank].T @ tri[:, n]) / s[:rank])
+    step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
+    kernel = vt[rank:].T
+    if kernel.size:
+        basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
+        step -= basis @ (basis.T @ step)
+    return step
+
+
 def _check_decay(point: _Point) -> None:
     """Raise unless the coefficients of ``h`` and ``g`` have decayed within the truncation."""
     for series in (point.h, point.g):
@@ -611,13 +688,14 @@ def _check_decay(point: _Point) -> None:
             raise NumericalError("series truncation too small: coefficients have not decayed")
 
 
-# Newton steps with at most this many unknowns (4 (N + 1): N <= 191) are
-# solved on one BLAS thread.  At that size a second OpenBLAS thread does not
-# make lstsq faster (2 cores: 330 x 260 and 650 x 516 take the same time on
-# one thread or two), but each of the many level-2 calls inside it then waits
-# on the other core, so a step slows down two- to threefold whenever another
-# process holds that core.  Larger steps keep the threads: at 1300 x 1028 two
-# threads are about 25% faster.
+# Newton steps that factor at most this many unknowns (2 (N + 1) when ``gt``
+# is eliminated: N <= 383; else 4 (N + 1): N <= 191) are solved on one BLAS
+# thread.  At that size a second OpenBLAS thread does not make lstsq faster
+# (2 cores: 330 x 260 and 650 x 516 take the same time on one thread or two),
+# but each of the many level-2 calls inside it then waits on the other core,
+# so a step slows down two- to threefold whenever another process holds that
+# core.  Larger steps keep the threads: at 1300 x 1028 two threads are about
+# 25% faster.
 SERIAL_LSTSQ_COLS = 768
 
 
@@ -670,16 +748,24 @@ def solve_newton(
     multipliers' numerical carrier (``_carrier_n_out``): rows that only
     rounding-level coefficients reach are never assembled, which leaves a
     problem about as tall as it is wide and moves the step at rounding level.
-    Each step is then solved on the rows that are not exactly zero (the whole
-    T2 block when the perturbation does not involve ``u``).  Such a row adds
-    a constant to the squared residual, so the minimal-norm step is the one
-    of the full system.  The line search and the convergence test use the
-    residual at the formal size.  Convergence is declared on the reduced
-    residual and re-checked with the plain substitution residual; an iterate
-    whose ``h`` or ``g`` has not decayed within the truncation is reported as
-    such, also when it is where the line search fails.  Steps of up to
-    ``SERIAL_LSTSQ_COLS`` unknowns run on one BLAS thread, which keeps their
-    time steady when another process shares the cores.
+    When ``r`` does not involve ``u``, ``dg`` is eliminated in closed form
+    (``_eliminate_g``) and only the ``h`` columns are factored, a problem
+    half as wide; the step is lifted back to the minimal-norm step of the
+    full system (``_h_only_step``).  Its rank cut is taken on the ``h``-only
+    matrix: the same ``svd_threshold`` on the coupled ``[h | g]`` matrix
+    dropped real directions at ``|b| = 0.45``.  A ``u``-dependent ``r``
+    couples the T1/T2 rows to ``g`` and keeps ``lstsq`` on the whole step.
+    Either way the step is solved on the rows that are not exactly zero;
+    such a row adds a constant to the squared residual, so the minimal-norm
+    step is the one of the full system.  The line search and the
+    convergence test use the residual at the formal size.  Convergence is
+    declared on the reduced residual and re-checked with the plain
+    substitution residual; an iterate whose ``h`` or ``g`` has not decayed
+    within the truncation is reported as such, also when it is where the
+    line search fails, and a final disc that fails ``LiftedDisc``'s pin check
+    is a ``NumericalError``.  Steps that factor up to ``SERIAL_LSTSQ_COLS``
+    unknowns run on one BLAS thread, which keeps their time steady when
+    another process shares the cores.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -698,6 +784,7 @@ def solve_newton(
     htilde = divide_one_minus_zeta(init.h, tol=1e-6).truncate(n_in).pad_to(n_in)
     gtilde = divide_one_minus_zeta(init.g, tol=1e-6).truncate(n_in).pad_to(n_in)
     inner_tol = 0.01 * opts.tol
+    u_free = not d_u(r.big_r_mon())
 
     x = pack_series(htilde, gtilde, n_in)
     point = _Point(htilde, gtilde)
@@ -708,13 +795,19 @@ def solve_newton(
     while history[-1] >= inner_tol and iterations < opts.max_iter:
         op = _linearize(r, qfac, c, point, n_in, None, n_weight=None)
         rhs, jac = stack_value(val, op.n_out), op.matrix
+        if u_free:
+            jac, rhs, lift = _eliminate_g(jac, rhs, n_in, op.n_out)
         del op
         keep = _nonzero_rows(jac)
-        # release the full matrix before the solve, the trimmed one after it:
-        # neither then lives on through the next assembly
-        jac = jac[keep]
+        # release the full matrix before the solve, the trimmed one and the
+        # lift after it: none then lives on through the next assembly
+        jac, rhs = jac[keep], rhs[keep]
         with _serial_blas() if jac.shape[1] <= SERIAL_LSTSQ_COLS else contextlib.nullcontext():
-            delta, *_ = np.linalg.lstsq(jac, -rhs[keep], rcond=opts.svd_threshold)
+            if u_free:
+                delta = _h_only_step(jac, rhs, lift, opts.svd_threshold)
+                del lift
+            else:
+                delta, *_ = np.linalg.lstsq(jac, -rhs, rcond=opts.svd_threshold)
         del jac
         phi0 = float(f @ f)
         alpha = 1.0
@@ -734,7 +827,10 @@ def solve_newton(
         history.append(float(np.max(np.abs(f))))
 
     _check_decay(point)
-    disc = LiftedDisc(c, point.h, point.g)
+    try:
+        disc = LiftedDisc(c, point.h, point.g)
+    except ConfigError as exc:  # the computed disc, not the input, fails the check
+        raise NumericalError(f"computed disc fails its pin check: {exc}") from None
     res = stationarity_residual(disc, r)
     converged = history[-1] < inner_tol and max(res) < opts.tol
     if not converged:

@@ -105,6 +105,8 @@ def test_config_errors_exit_2(tmp_path):
         ("disc", {"model": Z4_MODEL, "params": {"disc": {**disc, "theta": -(10**400)}}}),
         ("jet", {"model": Z4_MODEL, "params": {"jets": [[10**400, 0]]}}),
         ("determine", {"model": Z4_MODEL, "params": {"map": identity, "b_values": [[0, 10**400]]}}),
+        # a model whose curvature vanishes on the circle breaks the hypotheses
+        ("analyze", {"model": {"d": 4, "k0": 3, "alpha": [{"j": 3, "re": 1.0}, {"j": 2, "re": 1.0}]}}),
     ]
     for k, (command, config) in enumerate(malformed):
         rc, _ = _run(tmp_path, command, config, name=f"m{k}.json")

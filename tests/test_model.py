@@ -133,6 +133,26 @@ def test_random_models_are_admissible():
                 assert abs(q) > 1.0 + 1e-8
 
 
+def test_circle_pinned_root_is_a_hypothesis_failure(monkeypatch):
+    # a3 = 1 puts both roots of Q / zeta on the circle: the curvature vanishes there
+    model = ModelPolynomial.from_upper(4, 3, {3: 1.0, 2: 1.0})
+    assert check_subharmonic(model) < 0.0
+    with pytest.raises(ConfigError, match=r"^\[hypothesis\] root .* of the unit circle$"):
+        factor_Q(model)
+    # the sampler redraws on it, as on any other root it cannot split
+    calls = []
+
+    def pinned_once(candidate):
+        calls.append(candidate)
+        if len(calls) == 1:
+            raise ConfigError("[hypothesis] root 1 lies within 1e-08 of the unit circle")
+        return factor_Q(candidate)
+
+    monkeypatch.setattr("discforge.model.factor_Q", pinned_once)
+    drawn = random_admissible_model(np.random.default_rng(3), 6, 4)
+    assert len(calls) == 2 and drawn is calls[1]
+
+
 def test_model_json_roundtrip():
     m = _model_d4k3()
     again = ModelPolynomial.from_dict(m.to_dict())

@@ -33,6 +33,9 @@ from discforge.solver import (
     _Point,
     _carrier_n_out,
     _default_n_out,
+    _eliminate_g,
+    _g_pinv,
+    _h_only_step,
     _linearize,
     _multipliers,
     _nonzero_rows,
@@ -485,13 +488,19 @@ def test_newton_steps_up_to_the_cap_run_on_one_blas_thread(monkeypatch, cols, se
     # the caller's thread count is restored after the solve and after a raise
     threads = solver._openblas_threads()
     count = (lambda: None) if threads is None else threads[0]
-    before, seen, lstsq = count(), [], np.linalg.lstsq
+    before, seen = count(), []
 
-    def recording(*args, **kwargs):
-        seen.append(count())
-        return lstsq(*args, **kwargs)
+    def recording(lapack):
+        def call(*args, **kwargs):
+            seen.append(count())
+            return lapack(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
+        return call
+
+    # a step factors [B | b] (triangular factor only), then takes the SVD of
+    # that factor and a QR of the lifted kernel of B
+    for name in ("lstsq", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     monkeypatch.setattr(solver, "SERIAL_LSTSQ_COLS", cols)
     model = _model_d4k3()
     r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): 1e-3}),), {})
@@ -675,17 +684,112 @@ def test_newton_nonzero_b_perturbed():
     assert coeff_distance(result.disc.c, init.c) == 0.0
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [48, 56])
 def test_newton_reports_under_resolution_not_the_line_search(n):
-    # newton_grid seed 4 d4-k3-b0.45-p3: the line search stalls at an iterate
-    # whose g tail is 6e-7 to 9e-7 of its scale, above the decay gate, so the
-    # truncation is reported, whichever way the last bits of the step fall
+    # newton_grid seed 4 d4-k3-b0.45-p3 below the truncation it needs (it
+    # converges from N=64): the line search stalls at an iterate whose
+    # coefficients have not decayed, so the truncation is reported
     model = _grid_model(4, True)
     b, eps = 0.4006313092466119 + 0.20492572813423318j, -0.000640153662736693 + 0.0007682468926619856j
     r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): eps}),), {})
     init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
     with pytest.raises(NumericalError, match="truncation too small"):
         solve_newton(r, factor_Q(model), b, init, SolverOptions(n_max=n))
+
+
+def _first_step(d, split, n=64):
+    """The first Newton Jacobian and residual of a pinned newton_grid case (b = 0.1)."""
+    model, half = _grid_model(d, split), d // 2
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=n)
+    qfac, c = factor_Q(model), init.c
+    point = _Point(*(divide_one_minus_zeta(s, tol=1e-6).truncate(n).pad_to(n) for s in (init.h, init.g)))
+    op = _linearize(r, qfac, c, point, n, None, None)
+    return op, stack_value(_operator_value(r, qfac, c, point), op.n_out)
+
+
+@pytest.mark.parametrize("d, split", [(4, False), (6, True)])
+def test_h_only_step_is_the_full_minimal_norm_step(d, split):
+    # the step the full lstsq gives on the first Jacobian, for the residual
+    # there and for a random right-hand side, which the Jacobian does not
+    # reach: the eliminated rows must keep their least-squares weight
+    op, rhs = _first_step(d, split)
+    keep = _nonzero_rows(op.matrix)
+    jac = op.matrix[keep]
+    _, sigma, vt = np.linalg.svd(jac)
+    kernel = vt[np.sum(sigma > 1e-8 * sigma[0]) :]
+    assert len(kernel) > 0
+    for f in (rhs, np.random.default_rng(d).standard_normal(rhs.size)):
+        full, *_ = np.linalg.lstsq(jac, -f[keep], rcond=1e-8)
+        mat, vec, lift = _eliminate_g(op.matrix, f, op.n_in, op.n_out)
+        assert mat.shape[1] == jac.shape[1] // 2
+        step = _h_only_step(mat, vec, lift, 1e-8)
+        assert np.linalg.norm(step - full) <= 1e-10 * np.linalg.norm(full)
+        assert np.max(np.abs(kernel @ step)) <= 1e-10 * np.linalg.norm(step)
+
+
+def test_g_pinv_inverts_g_on_its_range():
+    # G: the T3 rows of modes 0 .. n_in + 1 against the gt columns; its range
+    # is the orthogonal complement of w, evaluation at zeta = 1
+    op, _ = _first_step(4, False, n=24)
+    n_in, top = op.n_in, 4 * op.n_out
+    g = op.matrix[top : top + 2 * n_in + 3, 2 * (n_in + 1) :]
+    w = solver._eval_at_one(n_in)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((2 * n_in + 3, 3))
+    assert np.max(np.abs(g @ _g_pinv(y, n_in) - (y - np.outer(w, w @ y) / (w @ w)))) <= 1e-14
+    x = rng.standard_normal(2 * (n_in + 1))
+    assert np.max(np.abs(_g_pinv(g @ x, n_in) - x)) <= 1e-12
+
+
+def test_u_dependent_solve_takes_the_full_lstsq_path(monkeypatch):
+    # an l = 1 term couples the T1/T2 rows to g: no elimination, the whole
+    # [h | g] step goes to lstsq, and the outcome is that of the previous code
+    model = _abs_power(4)
+    r = DefiningFunction(model, (PerturbationTerm(2, 1, 1, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=32)
+    cols, lstsq = [], np.linalg.lstsq
+
+    def recording(a, *args, **kwargs):
+        cols.append(a.shape[1])
+        return lstsq(a, *args, **kwargs)
+
+    def eliminated(*args):
+        raise AssertionError("g eliminated for a u-dependent r")
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    monkeypatch.setattr(solver, "_eliminate_g", eliminated)
+    expected = r"^no convergence in 25 iterations \(reduced 1\.612e-02, plain 7\.113e-02\)$"
+    with pytest.raises(NumericalError, match=expected):
+        solve_newton(r, factor_Q(model), 0.0, init, SolverOptions(n_max=32))
+    assert cols == [4 * 33] * 25
+
+
+def test_newton_converges_where_the_coupled_rank_cut_failed():
+    # newton_grid seed 4 d4-k3-b0.45-p3 failed at every N in 24 .. 192 while
+    # each step was cut at 1e-8 of the coupled [h | g] Jacobian's norm: that
+    # cut dropped real directions.  Cut on the h-only matrix, it converges and
+    # refines.
+    model = _grid_model(4, True)
+    b, eps = 0.4006313092466119 + 0.20492572813423318j, -0.000640153662736693 + 0.0007682468926619856j
+    r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): eps}),), {})
+    refined = []
+    for n in (96, 128):
+        init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
+        result = solve_newton(r, factor_Q(model), b, init, SolverOptions(n_max=n))
+        assert result.converged and max(result.stationarity) < 1e-9
+        refined.append(result.disc)
+    assert coeff_distance(refined[0].h, refined[1].h) <= 1e-12
+    assert coeff_distance(refined[0].g, refined[1].g) <= 1e-12
+
+
+def test_a_computed_disc_failing_the_pin_check_is_numerical(monkeypatch):
+    # the disc is the solver's output, not the user's input: exit 1, not 2
+    model = _abs_power(4)
+    init = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=64)
+    monkeypatch.setattr("discforge.discs.PIN_TOL", 0.0)
+    with pytest.raises(NumericalError, match="pin check"):
+        solve_newton(_cubic_pert(1e-3), factor_Q(model), 0.0, init, SolverOptions(n_max=64))
 
 
 def test_newton_error_paths():
