@@ -36,6 +36,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -469,7 +470,8 @@ def kernel_dim_svd(op, threshold: float = 1e-8) -> int:
     leaves every nonzero singular value, and so the rank, as it is.
     """
     matrix = op.matrix if hasattr(op, "matrix") else np.asarray(op)
-    sigma = np.linalg.svd(matrix[_nonzero_rows(matrix)], compute_uv=False)
+    with _blas_threads(matrix.shape[1]):
+        sigma = np.linalg.svd(matrix[_nonzero_rows(matrix)], compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0:
         return matrix.shape[1]
     cut = threshold * sigma[0]
@@ -540,7 +542,8 @@ def kernel_basis_p0(
     matrix = op.matrix
     hg = matrix[:, op.hg_cols]
     keep = _nonzero_rows(hg)
-    sol, *_ = np.linalg.lstsq(hg[keep], -matrix[keep, op.weight_cols], rcond=threshold)
+    with _blas_threads(hg.shape[1]):
+        sol, *_ = np.linalg.lstsq(hg[keep], -matrix[keep, op.weight_cols], rcond=threshold)
     weight_dirs = np.eye(2 * k0 + 1, matrix.shape[1])
     weight_dirs[:, op.hg_cols] = sol.T
     raw = list(weight_dirs)
@@ -680,22 +683,46 @@ def _h_only_step(
     return step
 
 
+def _relative_tail(series: TrigSeries) -> float:
+    """The coefficient tail of ``series`` (``coeff_decay``) relative to ``max(1, max |c_n|)``."""
+    return series.coeff_decay() / max(1.0, float(np.max(np.abs(series.coeffs))))
+
+
 def _check_decay(point: _Point) -> None:
     """Raise unless the coefficients of ``h`` and ``g`` have decayed within the truncation."""
-    for series in (point.h, point.g):
-        scale = max(1.0, float(np.max(np.abs(series.coeffs))))
-        if series.coeff_decay() > 1e-7 * scale:
-            raise NumericalError("series truncation too small: coefficients have not decayed")
+    if max(_relative_tail(point.h), _relative_tail(point.g)) > 1e-7:
+        raise NumericalError("series truncation too small: coefficients have not decayed")
 
 
-# Newton steps that factor at most this many unknowns (2 (N + 1) when ``gt``
-# is eliminated: N <= 383; else 4 (N + 1): N <= 191) are solved on one BLAS
-# thread.  At that size a second OpenBLAS thread does not make lstsq faster
-# (2 cores: 330 x 260 and 650 x 516 take the same time on one thread or two),
-# but each of the many level-2 calls inside it then waits on the other core,
-# so a step slows down two- to threefold whenever another process holds that
-# core.  Larger steps keep the threads: at 1300 x 1028 two threads are about
-# 25% faster.
+# A reduced residual in ``[inner_tol, tol)`` that STALL_STEPS accepted steps in
+# a row each leave above STALL_FACTOR of the previous one has hit the floor of
+# the truncation: Newton converges quadratically on a resolved disc, and at a
+# floor it only grinds through ever shorter line searches.  The rule never
+# fires above ``tol``, where a weight frozen at ``c(b)`` stalls for a reason
+# a larger N does not cure.
+STALL_FACTOR = 0.5
+STALL_STEPS = 2
+
+
+def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> NoReturn:
+    """Raise the under-resolution of a solve that stalls at ``level`` in ``[inner_tol, tol)``."""
+    _check_decay(point)  # coefficients that have not decayed are the plainer report
+    raise NumericalError(
+        f"series truncation too small: reduced residual stalls at {level:.3e} above "
+        f"inner_tol {inner_tol:.1e} at N = {n} (relative coefficient tails h {_relative_tail(point.h):.1e}, "
+        f"g {_relative_tail(point.g):.1e}); a larger N resolves the disc"
+    )
+
+
+# Factorizations of at most this many columns run on one BLAS thread: Newton
+# steps (2 (N + 1) unknowns when ``gt`` is eliminated: N <= 383; else
+# 4 (N + 1): N <= 191) and the kernel path's SVD and least squares.  At that
+# size a second OpenBLAS thread does not make lstsq faster (2 cores: 330 x 260
+# and 650 x 516 take the same time on one thread or two; a 700 x 400 SVD takes
+# 41 ms on one and 134 ms on two), but each of the many level-2 calls inside
+# it then waits on the other core, so a step slows down two- to threefold
+# whenever another process holds that core.  Larger steps keep the threads: at
+# 1300 x 1028 two threads are about 25% faster.
 SERIAL_LSTSQ_COLS = 768
 
 
@@ -733,6 +760,11 @@ def _serial_blas():
         set_(before)
 
 
+def _blas_threads(cols: int):
+    """``_serial_blas()`` for a factorization of at most ``SERIAL_LSTSQ_COLS`` columns, else nothing."""
+    return _serial_blas() if cols <= SERIAL_LSTSQ_COLS else contextlib.nullcontext()
+
+
 def solve_newton(
     r: DefiningFunction,
     qfac: QFactorization,
@@ -755,17 +787,21 @@ def solve_newton(
     matrix: the same ``svd_threshold`` on the coupled ``[h | g]`` matrix
     dropped real directions at ``|b| = 0.45``.  A ``u``-dependent ``r``
     couples the T1/T2 rows to ``g`` and keeps ``lstsq`` on the whole step.
-    Either way the step is solved on the rows that are not exactly zero;
-    such a row adds a constant to the squared residual, so the minimal-norm
-    step is the one of the full system.  The line search and the
-    convergence test use the residual at the formal size.  Convergence is
-    declared on the reduced residual and re-checked with the plain
-    substitution residual; an iterate whose ``h`` or ``g`` has not decayed
-    within the truncation is reported as such, also when it is where the
-    line search fails, and a final disc that fails ``LiftedDisc``'s pin check
-    is a ``NumericalError``.  Steps that factor up to ``SERIAL_LSTSQ_COLS``
-    unknowns run on one BLAS thread, which keeps their time steady when
-    another process shares the cores.
+    The line search and the convergence test use the residual at the formal
+    size.  Convergence is declared on the reduced residual and re-checked
+    with the plain substitution residual; an iterate whose ``h`` or ``g``
+    has not decayed within the truncation is reported as such, also when it
+    is where the line search fails, and a final disc that fails
+    ``LiftedDisc``'s pin check is a ``NumericalError``.  A reduced residual
+    in the band ``[inner_tol, tol)`` is the truncation's floor when
+    ``STALL_STEPS`` accepted steps in a row each leave it above
+    ``STALL_FACTOR`` of the previous one, or when the line search fails from
+    it: the solve then stops at once with a ``NumericalError`` that names
+    the level, N and the coefficient tails (``_truncation_floor``), instead
+    of grinding through halved line searches up to ``max_iter``.  Above
+    ``tol`` both keep their own messages.  Steps that factor up to
+    ``SERIAL_LSTSQ_COLS`` unknowns run on one BLAS thread, which keeps their
+    time steady when another process shares the cores.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -791,18 +827,20 @@ def solve_newton(
     val = _operator_value(r, qfac, c, point)
     f = stack_value(val, n_out)
     history = [float(np.max(np.abs(f)))]
-    iterations = 0
+    iterations = weak = 0
+
+    def in_band(level):
+        return inner_tol <= level < opts.tol
+
     while history[-1] >= inner_tol and iterations < opts.max_iter:
         op = _linearize(r, qfac, c, point, n_in, None, n_weight=None)
         rhs, jac = stack_value(val, op.n_out), op.matrix
         if u_free:
             jac, rhs, lift = _eliminate_g(jac, rhs, n_in, op.n_out)
+        # the full matrix goes now, the step's matrix and the lift right after
+        # the solve: none then lives on through the next assembly
         del op
-        keep = _nonzero_rows(jac)
-        # release the full matrix before the solve, the trimmed one and the
-        # lift after it: none then lives on through the next assembly
-        jac, rhs = jac[keep], rhs[keep]
-        with _serial_blas() if jac.shape[1] <= SERIAL_LSTSQ_COLS else contextlib.nullcontext():
+        with _blas_threads(jac.shape[1]):
             if u_free:
                 delta = _h_only_step(jac, rhs, lift, opts.svd_threshold)
                 del lift
@@ -820,11 +858,16 @@ def solve_newton(
                 break
             alpha *= 0.5
             if alpha < 1e-10:
+                if in_band(history[-1]):
+                    _truncation_floor(point, history[-1], inner_tol, n_in)
                 _check_decay(point)  # an under-resolved iterate is the cause to report
                 raise NumericalError("line search failed to reduce the residual")
         x, point, val, f = x_try, point_try, val_try, f_try
         iterations += 1
         history.append(float(np.max(np.abs(f))))
+        weak = weak + 1 if in_band(history[-1]) and history[-1] > STALL_FACTOR * history[-2] else 0
+        if weak == STALL_STEPS:
+            _truncation_floor(point, history[-1], inner_tol, n_in)
 
     _check_decay(point)
     try:

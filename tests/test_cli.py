@@ -298,8 +298,8 @@ _UNIT = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def _model_configs(draw):
-    d = draw(st.sampled_from(range(2, 13, 2)))
+def _model_configs(draw, max_d=12):
+    d = draw(st.sampled_from(range(2, max_d + 1, 2)))
     k0 = draw(st.integers(d // 2, d - 1))
     alpha = []
     for j in range(d // 2, k0 + 1):
@@ -329,15 +329,32 @@ _DISC = st.fixed_dictionaries(
     {"b": _or_garbage(_PAIR), "v": _or_garbage(_PAIR.map(lambda p: [1.0 + p[0], p[1]]))},
     optional={"theta": _or_garbage(_UNIT)},
 )
-_SOLVER = st.fixed_dictionaries(
-    {},
-    optional={
-        "N": _or_garbage(st.integers(4, 64)),
-        "tol": _or_garbage(st.floats(1e-12, 1e-6)),
-        "max_iter": _or_garbage(st.integers(1, 5)),
-        "svd_threshold": _or_garbage(st.floats(1e-12, 1e-6)),
-        "x_norm_bound": _or_garbage(st.floats(0.1, 20.0)),
-    },
+
+
+def _solver_options(max_n):
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            "N": _or_garbage(st.integers(4, max_n)),
+            "tol": _or_garbage(st.floats(1e-12, 1e-6)),
+            "max_iter": _or_garbage(st.integers(1, 5)),
+            "svd_threshold": _or_garbage(st.floats(1e-12, 1e-6)),
+            "x_norm_bound": _or_garbage(st.floats(0.1, 20.0)),
+        },
+    )
+
+
+_PAIRS = st.lists(st.tuples(_UNIT, _UNIT).map(list), min_size=1, max_size=5)
+# near-identity maps: the identity plus at most two small monomials per component
+_MONOMIALS = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 3), st.floats(-1e-3, 1e-3), st.just(0.0)).map(list), max_size=2
+)
+_MAP = st.fixed_dictionaries(
+    {
+        "d": _or_garbage(st.sampled_from(range(2, 9, 2))),
+        "H1": _or_garbage(_MONOMIALS.map(lambda extra: [[1, 0, 1.0, 0.0]] + extra)),
+        "H2": _or_garbage(_MONOMIALS.map(lambda extra: [[0, 1, 1.0, 0.0]] + extra)),
+    }
 )
 _PARAMS = {
     "analyze": st.just({}),
@@ -345,13 +362,25 @@ _PARAMS = {
         {"disc": _or_garbage(_DISC)}, optional={"samples": _or_garbage(st.integers(1, 64))}
     ),
     "residual": st.fixed_dictionaries({"disc": _or_garbage(_DISC)}),
+    "solve": st.fixed_dictionaries({"disc": _or_garbage(_DISC)}),
+    "kernel": st.just({}),
+    "jet": st.fixed_dictionaries({}, optional={"jets": _or_garbage(_PAIRS)}),
+    "gap": st.fixed_dictionaries({}, optional={"n_angles": _or_garbage(st.integers(1, 64))}),
+    "determine": st.fixed_dictionaries(
+        {"map": _or_garbage(_MAP)},
+        optional={
+            "t": _or_garbage(st.floats(1e-3, 1.0)),
+            "b_values": _or_garbage(_PAIRS.map(lambda pairs: [[0.45 * re, 0.3 * im] for re, im in pairs[:2]])),
+            "boundary_tol": _or_garbage(st.floats(1e-6, 1e-2)),
+        },
+    ),
 }
 
 
-def _configs(command):
+def _configs(command, max_d=12, solver=_solver_options(64)):
     """A config for ``command``: mostly valid, garbage at about one key in ten."""
     config = st.fixed_dictionaries(
-        {"model": _model_configs(), "params": _or_garbage(_PARAMS[command])},
+        {"model": _model_configs(max_d), "params": _or_garbage(_PARAMS[command])},
         optional={
             "schema": _or_garbage(st.just(1)),
             "perturbation": _or_garbage(
@@ -359,7 +388,7 @@ def _configs(command):
                     {}, optional={"terms": _or_garbage(_TERMS), "theta1": _or_garbage(_THETA1)}
                 )
             ),
-            "solver": _or_garbage(_SOLVER),
+            "solver": _or_garbage(solver),
         },
     )
     # and now and then a key no section knows
@@ -373,6 +402,39 @@ def _configs(command):
 def test_any_config_exits_0_1_or_2(case):
     # the exit-code contract: success, numerical failure or config error, and
     # never an exception escaping main
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2)
+
+
+@st.composite
+def _solving_configs(draw, command):
+    """A config for ``command`` at the sizes of a quick solve: d <= 8, N <= 48, max_iter <= 5."""
+    config = draw(_configs(command, max_d=8, solver=_solver_options(48)))
+    model, params = config["model"], config["params"]
+    if not isinstance(model, dict) or not draw(st.integers(0, 9)):
+        return config
+    # mostly fit the perturbation and the map to the model, so that most
+    # configs get past the validators to the solves
+    d = model.get("d")
+    if isinstance(d, int) and d >= 2:
+        i = draw(st.integers(d // 2 + 1, d))
+        eps = draw(st.tuples(st.floats(-0.01, 0.01), st.floats(-0.01, 0.01)))
+        config = {**config, "perturbation": {"terms": [{"i": i, "j": d + 1 - i, "l": 0, "coeffs": [[0, 0, *eps]]}]}}
+    if isinstance(params, dict) and isinstance(params.get("map"), dict):
+        config = {**config, "params": {**params, "map": {**params["map"], "d": d}}}
+    return config
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["jet", "gap", "kernel", "solve", "determine"]).flatmap(
+        lambda c: st.tuples(st.just(c), _solving_configs(c))
+    )
+)
+def test_any_config_of_the_other_commands_exits_0_1_or_2(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"

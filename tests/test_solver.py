@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -695,6 +697,63 @@ def test_newton_reports_under_resolution_not_the_line_search(n):
     init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
     with pytest.raises(NumericalError, match="truncation too small"):
         solve_newton(r, factor_Q(model), b, init, SolverOptions(n_max=n))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``solver.<name>`` from here on."""
+    calls, inner = [], getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def _grid_solve(d, split, b, eps, n):
+    model, half = _grid_model(d, split), d // 2
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): eps}),), {})
+    init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
+    return solve_newton(r, factor_Q(model), b, init, SolverOptions(n_max=n))
+
+
+_FLOOR = r"stalls at (\S+) above inner_tol 1\.0e-11 at N = 64 .*; a larger N resolves the disc$"
+
+
+def test_newton_stops_at_the_truncation_floor(monkeypatch):
+    # newton_grid seed 1 d6-k4-b0.45-p4 at N=64 reaches a reduced residual just
+    # above inner_tol in three steps and then cannot halve it: two weak steps
+    # end the solve (the previous code ground on through 19 Jacobians and 323
+    # operator evaluations before its line search gave up)
+    b, eps = 0.2700651796624754 - 0.35995110603229835j, 0.0009701697009155201 - 0.0002424267960137459j
+    linearized = _counting(monkeypatch, "_linearize")
+    with pytest.raises(NumericalError, match=_FLOOR) as info:
+        _grid_solve(6, True, b, eps, 64)
+    level = float(re.search(_FLOOR, str(info.value)).group(1))
+    assert 1e-11 <= level < 1e-9
+    assert len(linearized) <= 6
+
+
+def test_a_failed_line_search_at_the_floor_reports_the_floor(monkeypatch):
+    # newton_grid seed 1 d6-k3-b0.45-p3 at N=64: the line search fails from an
+    # iterate inside [inner_tol, tol), which is the truncation's floor too
+    b, eps = 0.30718294919856143 - 0.32884439438992125j, -0.0006543491135747826 + 0.0007561925929046755j
+    monkeypatch.setattr(solver, "STALL_STEPS", 10**6)  # only the line search can end it
+    with pytest.raises(NumericalError, match=_FLOOR) as info:
+        _grid_solve(6, False, b, eps, 64)
+    assert "line search" not in str(info.value)
+
+
+def test_a_floor_on_undecayed_coefficients_reports_them(monkeypatch):
+    # the seed-4 case of the under-resolution test at N=48 stops at its floor
+    # after five Jacobians (nine before); its coefficients have not decayed,
+    # and that is the report
+    b, eps = 0.4006313092466119 + 0.20492572813423318j, -0.000640153662736693 + 0.0007682468926619856j
+    linearized = _counting(monkeypatch, "_linearize")
+    with pytest.raises(NumericalError, match="coefficients have not decayed"):
+        _grid_solve(4, True, b, eps, 48)
+    assert len(linearized) <= 6
 
 
 def _first_step(d, split, n=64):
