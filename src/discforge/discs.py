@@ -153,8 +153,9 @@ def weight_series(b: complex, k0: int) -> TrigSeries:
 def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128) -> LiftedDisc:
     """Explicit stationary disc of a model surface.
 
-    Truncation leaves ``h(1)`` of size ``|a|^n_max``; the constant is pulled
-    back out so the pinning is exact at the stated tolerance.
+    Truncation leaves ``h(1)`` of size ``|a|^n_max``, and rounding leaves
+    ``g(1)`` of size ``eps * max|g|``; both constants are pulled back out so
+    the pinning is exact at the stated tolerance.
     """
     if n_max < 4:
         raise ConfigError("disc order must be at least 4")
@@ -170,6 +171,7 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     for j, alpha in model.alpha.items():
         p = p + (ph[j] * ph[model.d - j].conjugate()) * alpha
     g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs), tol=1e-9)
+    g = g + TrigSeries.constant(-g.evaluate(1.0))
     return LiftedDisc(c, h, g)
 
 

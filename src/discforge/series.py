@@ -3,8 +3,9 @@
 A series holds coefficients ``c[n]`` for ``n`` in ``[-N, N]`` and represents
 ``sum_n c[n] zeta^n`` for ``|zeta| = 1``.  Everything downstream (hypersurface
 symbols, disc components, boundary operators) is carried by this type, so the
-algebra here is kept exact: products are full convolutions, projections act on
-coefficients, and no operation silently drops modes.
+algebra here is kept exact: products are exact convolutions of the nonzero
+carriers of their factors (the exact zeros of one-sided series are skipped),
+projections act on coefficients, and no operation silently drops modes.
 """
 
 from __future__ import annotations
@@ -209,6 +210,15 @@ class TrigSeries:
         if np.max(np.abs(np.abs(pts) - 1.0)) > _CIRCLE_TOL:
             raise ValueError("evaluation points must lie on the unit circle")
         k = self.n_max
+        if k > 0 and np.all(pts == 1.0):
+            # At zeta = 1 every Horner product is exact, so two sequential
+            # folds add the same terms in the same order: the same value to
+            # the bit (for finite coefficients), without a loop over modes.
+            c = self.coeffs
+            pos = np.add.accumulate(np.concatenate(([0j], c[:k:-1])))[-1]
+            neg = np.add.accumulate(np.concatenate(([0j], c[:k])))[-1]
+            out = np.full(pts.shape, c[k] + pos + neg)
+            return out[0] if scalar else out
         out = np.full(pts.shape, self.coeffs[k], dtype=complex)
         # Horner in zeta for positive modes, in conj(zeta) for negative ones.
         if k > 0:
@@ -305,9 +315,28 @@ class Powers:
         return pows[n]
 
 
+def _nonzero_window(coeffs: np.ndarray) -> tuple[int, int] | None:
+    """Index range ``[lo, hi)`` from the first to the last nonzero coefficient."""
+    idx = np.flatnonzero(coeffs)
+    if idx.size == 0:
+        return None
+    return int(idx[0]), int(idx[-1]) + 1
+
+
 def multiply(a: TrigSeries, b: TrigSeries) -> TrigSeries:
-    """Exact product; the result carries order ``Na + Nb``."""
-    return TrigSeries(np.convolve(a.coeffs, b.coeffs))
+    """Exact product on the nonzero carriers; the result carries order ``Na + Nb``.
+
+    Only the windows between the first and last nonzero coefficient of each
+    factor are convolved, so the exact zeros of one-sided series (``h``, its
+    powers, ``conj h``) cost nothing; every mode outside the sum of the two
+    windows is exactly zero.
+    """
+    out = np.zeros(a.coeffs.size + b.coeffs.size - 1, dtype=complex)
+    wa, wb = _nonzero_window(a.coeffs), _nonzero_window(b.coeffs)
+    if wa is not None and wb is not None:
+        (lo_a, hi_a), (lo_b, hi_b) = wa, wb
+        out[lo_a + lo_b : hi_a + hi_b - 1] = np.convolve(a.coeffs[lo_a:hi_a], b.coeffs[lo_b:hi_b])
+    return TrigSeries(out)
 
 
 def from_samples(values, n_max: int) -> tuple[TrigSeries, float]:

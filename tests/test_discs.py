@@ -118,6 +118,24 @@ def test_model_disc_is_stationary():
             assert res3 < 1e-9
 
 
+def test_model_disc_pins_g_exactly_for_a_large_d8_disc():
+    # a random d=8, k0=7 model: at |b| = 0.2 its g reaches max|g| = 5.1e3 and,
+    # without the exact pin, rounding left |g(1)| above PIN_TOL (a ConfigError
+    # for a valid input)
+    alpha = {
+        4: 8.274918190601491,
+        5: -0.8875972886300745 + 1.5088591866138001j,
+        6: 2.448219615748692 + 0.927343897913557j,
+        7: -0.009054968131603692 - 0.3597449841018044j,
+    }
+    model = ModelPolynomial.from_upper(8, 7, alpha)
+    for b, n_max in ((0.2, 64), (0.07166156420279335 - 0.16718905079062776j, 128)):
+        disc = model_disc(model, ModelDiscParams(b, 1.0), n_max=n_max)
+        assert disc.h.evaluate(1.0) == 0.0
+        assert disc.g.evaluate(1.0) == 0.0
+        assert max(stationarity_residual(disc, DefiningFunction.pure(model))) < 1e-9
+
+
 def test_residual_detects_center_shift():
     model = _abs_power(4)
     disc = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=64)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discforge.series import (
+    ONE_MINUS,
     TrigSeries,
     analytic_from_real_part,
     coeff_distance,
@@ -128,6 +129,99 @@ def test_multiply_matches_pointwise_product():
     prod = multiply(a, b)
     z = _circle(64)
     assert np.max(np.abs(prod.evaluate(z) - a.evaluate(z) * b.evaluate(z))) < 1e-12
+
+
+def _on_modes(rng, n_max, modes):
+    """Random series of order ``n_max`` that is nonzero exactly on ``modes``."""
+    arr = np.zeros(2 * n_max + 1, dtype=complex)
+    for n in modes:
+        arr[n_max + n] = rng.standard_normal() + 1j * rng.standard_normal()
+    return TrigSeries(arr)
+
+
+def _product_cases():
+    rng = np.random.default_rng(37)
+    h = _on_modes(rng, 40, range(0, 41))
+    return {
+        "analytic-analytic": (h, _on_modes(rng, 30, range(0, 13))),
+        "analytic-anti-analytic": (h, h.conjugate()),
+        "two-sided": (_random_series(rng, 7), _random_series(rng, 11)),
+        "zero-factor": (TrigSeries.zero(9), _random_series(rng, 5)),
+        "single-modes": (_on_modes(rng, 5, [3]), _on_modes(rng, 4, [-2])),
+        "interior-zeros": (_on_modes(rng, 8, [-3, 0, 5]), _on_modes(rng, 10, [1, 6])),
+        "one-minus-long": (ONE_MINUS, _on_modes(rng, 400, range(0, 401))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_product_cases()))
+def test_multiply_is_exact_on_the_nonzero_carriers(case):
+    a, b = _product_cases()[case]
+    prod = multiply(a, b)
+    assert prod.n_max == a.n_max + b.n_max
+    full = np.convolve(a.coeffs, b.coeffs)
+    ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
+    inside = np.zeros(full.size, dtype=bool)
+    if ia.size and ib.size:
+        inside[ia[0] + ib[0] : ia[-1] + ib[-1] + 1] = True
+    assert np.all(prod.coeffs[~inside] == 0.0)
+    # inside, only the summation order differs from the untrimmed convolution
+    bound = 8 * np.finfo(float).eps * np.convolve(np.abs(a.coeffs), np.abs(b.coeffs))
+    assert np.all(np.abs(prod.coeffs - full) <= bound)
+
+
+def _horner(coeffs, points):
+    """The mode-by-mode Horner loop ``TrigSeries.evaluate`` ran before the
+    ``zeta = 1`` fold, kept as the oracle for it."""
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    k = (coeffs.size - 1) // 2
+    out = np.full(pts.shape, coeffs[k], dtype=complex)
+    if k > 0:
+        pos = np.zeros_like(pts)
+        for n in range(k, 0, -1):
+            pos = (pos + coeffs[k + n]) * pts
+        neg = np.zeros_like(pts)
+        cbar = np.conj(pts)
+        for n in range(k, 0, -1):
+            neg = (neg + coeffs[k - n]) * cbar
+        out = out + pos + neg
+    return out
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def _wide_range_series(rng, k):
+    """Order-``k`` series with magnitudes from 1e-8 to 1e6, some one-sided or negated."""
+    size = 2 * k + 1
+    arr = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-8, 6, size)
+    shape = rng.integers(4)
+    if shape == 1:
+        arr[:k] = 0.0  # analytic, as h and g are
+    elif shape == 2:
+        arr = -np.where(np.arange(size) < k, 0.0, arr)  # negated: -0.0 on the negative side
+    elif shape == 3:
+        arr[k + 1 :] = 0.0
+    return TrigSeries(arr)
+
+
+def test_evaluate_at_one_matches_horner_to_the_bit():
+    rng = np.random.default_rng(41)
+    orders = [0, 1, 2, 1200] + [int(k) for k in rng.integers(0, 1201, 60)]
+    for k in orders:
+        s = _wide_range_series(rng, k)
+        expected = _bits(_horner(s.coeffs, 1.0))
+        assert np.array_equal(_bits(s.evaluate(1.0)), expected), k
+        assert np.array_equal(_bits(s.evaluate(np.ones(3))), np.tile(expected, 3)), k
+
+
+def test_evaluate_off_one_is_unchanged():
+    rng = np.random.default_rng(43)
+    mixed = np.array([1.0, 1j, -1.0, np.exp(0.3j), 1.0])
+    for k in (0, 1, 7, 150):
+        s = _wide_range_series(rng, k)
+        assert np.array_equal(_bits(s.evaluate(1j)), _bits(_horner(s.coeffs, 1j)))
+        assert np.array_equal(_bits(s.evaluate(mixed)), _bits(_horner(s.coeffs, mixed)))
 
 
 def test_conjugate_matches_pointwise_and_involutes():

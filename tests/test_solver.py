@@ -452,18 +452,61 @@ def test_carrier_reach_of_each_multiplier(block, side, mode, reach):
         assert _carrier_n_out(_Multipliers(zeros, zeros, weight), n_in, 3, 1000) == 3 - mode
 
 
-def test_newton_on_trimmed_rows_matches_full_rows(monkeypatch):
+def test_kernel_on_trimmed_rows_matches_full_rows(monkeypatch):
+    # kernel_dim_svd and kernel_basis_p0 drop the exactly zero rows of the
+    # linearization; keeping every row must give the same spectrum and basis
     model = _model_d4k3()
     qfac = factor_Q(model)
+    disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=8)
+    op = linearize_at(_pure(model), disc, qfac, n_in=48, n_weight=model.k0)
+    svd = np.linalg.svd
+
+    def run(trim):
+        spectra, dropped = [], []
+
+        def recording_svd(a, **kwargs):
+            spectra.append(svd(a, **kwargs))
+            return spectra[-1]
+
+        def recording_trim(matrix):
+            mask = trim(matrix)
+            dropped.append(int(mask.size - mask.sum()))
+            return mask
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recording_svd)
+            patch.setattr(solver, "_nonzero_rows", recording_trim)
+            dim = kernel_dim_svd(op)
+            sigma = spectra[0]
+            basis = kernel_basis_p0(model, qfac, n_in=48)
+        return dim, sigma, basis, dropped
+
+    dim, sigma, basis, dropped = run(_nonzero_rows)
+    assert len(dropped) == 2 and min(dropped) > 0  # both functions trim rows here
+    full_dim, full_sigma, full_basis, _ = run(lambda m: np.ones(m.shape[0], dtype=bool))
+    assert dim == full_dim == basis.dim == full_basis.dim
+    assert np.max(np.abs(sigma - full_sigma)) <= 1e-12 * full_sigma[0]
+    assert np.max(np.abs(basis.coords - full_basis.coords)) < 1e-10
+
+
+def test_products_convolve_only_nonzero_windows(monkeypatch):
+    # every product convolves factors that start and end on a nonzero
+    # coefficient: no multiply-adds on the exact zeros of one-sided series
+    convolve, calls = np.convolve, []
+
+    def checked(a, v, *args, **kwargs):
+        calls.append(all(x[0] != 0 and x[-1] != 0 for x in (a, v)))
+        return convolve(a, v, *args, **kwargs)
+
+    monkeypatch.setattr("discforge.series.np.convolve", checked)
+    model = _abs_power(8)
+    disc = model_disc(model, ModelDiscParams(0.3, 1.0), n_max=128)
+    stationarity_residual(disc, _pure(model))
+    model = _model_d4k3()
     r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): 1e-3}),), {})
-    init = model_disc(model, ModelDiscParams(0.1j, 1.0), n_max=48)
-    opts = SolverOptions(n_max=48)
-    trimmed = solve_newton(r, qfac, 0.1j, init, opts)
-    monkeypatch.setattr(solver, "_nonzero_rows", lambda m: np.ones(m.shape[0], dtype=bool))
-    full = solve_newton(r, qfac, 0.1j, init, opts)
-    assert trimmed.iterations == full.iterations > 0
-    assert coeff_distance(trimmed.disc.h, full.disc.h) < 1e-10
-    assert coeff_distance(trimmed.disc.g, full.disc.g) < 1e-10
+    init = model_disc(model, ModelDiscParams(0.1j, 1.0), n_max=32)
+    solve_newton(r, factor_Q(model), 0.1j, init, SolverOptions(n_max=32))
+    assert calls and all(calls)
 
 
 @pytest.mark.parametrize(
