@@ -60,9 +60,10 @@ log = logging.getLogger("discforge")
 
 _TOP_KEYS = {"schema", "model", "perturbation", "solver", "params"}
 
-# Largest accepted params.n_angles of ``gap``: each angle is a closed-form
-# evaluation, a 256-point quadrature and one CSV row, so this keeps a run
-# under about ten seconds and gap.csv to a few MB.
+# Largest accepted params.n_angles of ``gap`` and params.samples of ``disc``:
+# each angle is a closed-form evaluation, a 256-point quadrature and one CSV
+# row, so this keeps a run under about ten seconds and gap.csv to a few MB;
+# each boundary sample is one CSV row.
 MAX_ANGLES = 1 << 16
 
 _PARAM_KEYS = {
@@ -158,8 +159,8 @@ def cmd_analyze(cfg: RunConfig) -> dict:
 def cmd_disc(cfg: RunConfig) -> dict:
     p = cfg.disc_params()
     samples = _number(cfg.params.get("samples", 64), int, "params.samples")
-    if samples < 1:
-        raise ConfigError("params.samples must be positive")
+    if not 1 <= samples <= MAX_ANGLES:
+        raise ConfigError(f"params.samples must lie in [1, {MAX_ANGLES}]")
     disc = model_disc(cfg.model, p, n_max=cfg.opts.n_max)
     res = stationarity_residual(disc, cfg.defn)
     trace = disc.boundary_samples(samples)

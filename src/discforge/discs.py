@@ -121,14 +121,13 @@ class LiftedDisc:
         return {"c": self.c.to_dict(), "h": self.h.to_dict(), "g": self.g.to_dict()}
 
     @classmethod
-    def from_dict(cls, data: dict, validate: bool = True) -> "LiftedDisc":
+    def from_dict(cls, data: dict) -> "LiftedDisc":
         strict_keys(data, {"c", "h", "g"}, "disc")
         try:
             return cls(
                 TrigSeries.from_dict(data["c"]),
                 TrigSeries.from_dict(data["h"]),
                 TrigSeries.from_dict(data["g"]),
-                validate=validate,
             )
         except KeyError as exc:
             raise ConfigError(f"disc data missing key {exc}") from None

@@ -216,6 +216,11 @@ def _pair(value: complex) -> list:
     return [float(np.real(value)), float(np.imag(value))]
 
 
+# Largest ``x_norm_distance`` of the dilated defining function a determination
+# experiment accepts.
+X_NORM_THRESHOLD = 0.1
+
+
 def determination_experiment(
     r: DefiningFunction,
     h_map: BiholoMap,
@@ -223,7 +228,6 @@ def determination_experiment(
     opts: SolverOptions = SolverOptions(),
     t: float | None = None,
     b_values: tuple = (0.0, 0.2),
-    x_norm_threshold: float = 0.1,
     boundary_tol: float = 1e-3,
 ) -> dict:
     """Measure how far a near-identity map moves the solved discs.
@@ -250,7 +254,7 @@ def determination_experiment(
         for _ in range(40):
             r_t = dilate(r, t)
             if (
-                x_norm_distance(r_t) <= x_norm_threshold
+                x_norm_distance(r_t) <= X_NORM_THRESHOLD
                 and _boundary_defect(r_t, dilate_map(h_map, t)) <= boundary_tol
             ):
                 break
@@ -261,7 +265,7 @@ def determination_experiment(
     h_t = dilate_map(h_map, t)
     x_val = x_norm_distance(r_t)
     defect = _boundary_defect(r_t, h_t)
-    if x_val > x_norm_threshold:
+    if x_val > X_NORM_THRESHOLD:
         raise NumericalError(f"[scaling] dilated defining function too far out: {x_val:.3e}")
     if defect > boundary_tol:
         raise ConfigError(f"[hypothesis] map moves the zero set by {defect:.3e}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError, strict_keys
-from .series import TrigSeries, multiply
+from .series import TrigSeries, coeff_distance, multiply
 
 __all__ = [
     "ModelPolynomial",
@@ -136,18 +136,16 @@ class ModelPolynomial:
         return cls.from_upper(d, k0, upper)
 
 
-def check_subharmonic(model: ModelPolynomial, n_radii: int = 64, n_angles: int = 256) -> float:
-    """Minimum of ``P_zzbar(z) / |z|^(d-2)`` over a polar grid.
+def check_subharmonic(model: ModelPolynomial) -> float:
+    """Minimum of ``P_zzbar(z) / |z|^(d-2)`` over a polar grid of 64 radii and 256 angles.
 
     By homogeneity the ratio depends only on the angle; the radial sweep is a
     consistency check, not extra information.  A positive return value
     certifies strict subharmonicity away from the origin.
     """
-    n_radii = max(64, int(n_radii))
-    n_angles = max(64, int(n_angles))
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    angles = np.exp(2j * np.pi * np.arange(256) / 256)
     ratio_circle = model.eval_Pzzbar(angles).real
-    radii = np.linspace(1.0 / n_radii, 1.0, n_radii)
+    radii = np.linspace(1.0 / 64, 1.0, 64)
     grid = np.outer(radii, angles)
     ratio_grid = model.eval_Pzzbar(grid).real / np.abs(grid) ** (model.d - 2)
     if np.max(np.abs(ratio_grid - ratio_circle[None, :])) > 1e-8 * max(
@@ -287,21 +285,18 @@ def factor_Q(model: ModelPolynomial, circle_margin: float = 1e-8) -> QFactorizat
         roots_inside=tuple(inside),
         roots_outside=tuple(outside),
     )
-    from .series import coeff_distance
-
     if coeff_distance(fac.q_poly(), q) > 1e-9 * scale:
         raise NumericalError("reassembled factorization does not reproduce Q")
     return fac
 
 
-def winding_number(series: TrigSeries, n_samples: int | None = None) -> int:
+def winding_number(series: TrigSeries) -> int:
     """Total argument increment around the circle, in whole turns.
 
     The symbol must stay away from zero (min modulus > 1e-8), otherwise the
     winding is ill-defined at this resolution.
     """
-    num = n_samples or max(4 * series.n_max, 256)
-    vals = series.sample(num)
+    vals = series.sample(max(4 * series.n_max, 256))
     if np.min(np.abs(vals)) <= 1e-8:
         raise NumericalError("symbol vanishes on the circle; winding undefined")
     ang = np.unwrap(np.angle(vals))

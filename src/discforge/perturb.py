@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import ConfigError, strict_keys
 from .model import ModelPolynomial
-from .series import Powers, TrigSeries, multiply
+from .series import MAX_ORDER, Powers, TrigSeries, multiply
 
 __all__ = [
     "PerturbationTerm",
@@ -256,29 +256,23 @@ def dilate(r: DefiningFunction, t: float) -> DefiningFunction:
     return DefiningFunction(r.model, tuple(new_terms), th1)
 
 
-def _coeff_weight(m: int, k_order: int, radius: float) -> float:
-    total = 0.0
-    for o in range(min(m, k_order) + 1):
-        total += math.perm(m, o) * radius ** (m - o)
-    return total
+def _coeff_weight(m: int) -> float:
+    return float(sum(math.perm(m, o) for o in range(min(m, 4) + 1)))
 
 
-def x_norm_distance(r: DefiningFunction, k_order: int = 4, radius: float = 1.0) -> float:
+def x_norm_distance(r: DefiningFunction) -> float:
     """Proxy distance of ``r`` from its model in the perturbation space.
 
     Max over stored blocks of the weighted coefficient sum (weights carry the
-    derivative growth up to ``k_order`` on the disc of ``radius``), plus the
-    same for ``theta1``.  Zero exactly when the higher-order block vanishes;
+    derivative growth up to order 4 on the unit disc), plus the same for
+    ``theta1``.  Zero exactly when the higher-order block vanishes;
     only relative comparisons are meaningful.
     """
     best = 0.0
     for term in r.terms:
-        total = sum(
-            abs(c) * _coeff_weight(m, k_order, radius) * _coeff_weight(n, k_order, radius)
-            for (m, n), c in term.coeffs.items()
-        )
+        total = sum(abs(c) * _coeff_weight(m) * _coeff_weight(n) for (m, n), c in term.coeffs.items())
         best = max(best, total)
-    th1 = sum(abs(v) * _coeff_weight(deg, k_order, radius) for deg, v in r.theta1.items())
+    th1 = sum(abs(v) * _coeff_weight(deg) for deg, v in r.theta1.items())
     return best + th1
 
 
@@ -379,13 +373,18 @@ def dilate_map(h: BiholoMap, t: float) -> BiholoMap:
 def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
     """Exact polynomial composition ``H o (h, g)`` in coefficient space.
 
-    The disc boundary values must stay inside the map's domain polydisc.
+    The disc boundary values must stay inside the map's domain polydisc, and
+    every monomial ``z^j w^l`` of the map must stay within ``MAX_ORDER``
+    along the disc.
     """
     h, g = disc.h, disc.g
     if math.isfinite(h_map.domain_radius):
         bound = max(float(np.max(np.abs(s.sample(512)))) for s in (h, g))
         if bound > h_map.domain_radius:
             raise ConfigError("disc leaves the domain of the map")
+    order = max((j * h.n_max + l * g.n_max for j, l in {**h_map.h1, **h_map.h2}), default=0)
+    if order > MAX_ORDER:
+        raise ConfigError(f"the map composed with the disc has order {order} > MAX_ORDER={MAX_ORDER}")
     ph, pg = Powers(h), Powers(g)
     out = []
     for mono in (h_map.h1, h_map.h2):

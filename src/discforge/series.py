@@ -240,10 +240,9 @@ class TrigSeries:
         buf[np.arange(-self.n_max, self.n_max + 1) % num] += self.coeffs
         return np.fft.ifft(buf) * num
 
-    def sup_norm(self, min_samples: int = 64) -> float:
-        """Max modulus over at least ``max(4N, min_samples)`` circle samples."""
-        num = max(4 * self.n_max + 4, min_samples)
-        return float(np.max(np.abs(self.sample(num))))
+    def sup_norm(self) -> float:
+        """Max modulus over ``max(4N + 4, 64)`` circle samples."""
+        return float(np.max(np.abs(self.sample(max(4 * self.n_max + 4, 64)))))
 
     def coeff_decay(self) -> float:
         """Max |c[n]| over the top quartile of |n|; 0 means fully resolved."""

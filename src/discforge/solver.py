@@ -86,8 +86,9 @@ class OperatorValue:
 # series.MAX_ORDER (65536).  A solve is bounded separately, by the size of its
 # Jacobian.
 MAX_N = 4096
-# Largest dense Jacobian ``solve_newton`` assembles, in bytes; lstsq works on a
-# trimmed copy of up to the same size, so a solve may need twice this.
+# Largest dense Jacobian ``solve_newton`` may assemble, in bytes, taken at the
+# formal row count; the step factors a copy of up to the same size, so a solve
+# may need twice this.
 MAX_JACOBIAN_BYTES = 1 << 30
 
 
@@ -272,18 +273,6 @@ def _add_modes(dst: np.ndarray, row0: int, modes: np.ndarray, sym: bool) -> None
     dst[row0 + 1 : stop : 2] += modes.imag
 
 
-def _nonzero_rows(matrix: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``matrix`` that hold at least one nonzero entry.
-
-    An exactly zero row ``i`` adds the constant ``f_i^2`` to ``|A x + f|^2``
-    and nothing to ``A^T A``: dropping it changes neither the least-squares
-    minimisers, nor which of them has the smallest norm, nor the singular
-    values.  No tolerance is involved, so the trimmed problem is the same
-    problem, only smaller.
-    """
-    return np.any(matrix, axis=1)
-
-
 def pack_series(htilde: TrigSeries, gtilde: TrigSeries, n_in: int) -> np.ndarray:
     out = np.zeros(4 * (n_in + 1))
     for row0, series in ((0, htilde), (2 * (n_in + 1), gtilde)):
@@ -360,8 +349,9 @@ def _multipliers(
 
 # A multiplier coefficient at most this fraction of the largest one is rounding
 # noise, and so is every Jacobian entry made of it.  Rows that only such
-# coefficients reach change the least-squares step at rounding level, so the
-# Newton Jacobian stops at the last row a larger coefficient reaches.
+# coefficients reach change the least-squares step and the singular values at
+# rounding level, so every Jacobian stops at the last row a larger coefficient
+# reaches.
 CARRIER_GATE = np.finfo(float).eps
 
 
@@ -446,15 +436,14 @@ def linearize_at(
 
     The weight block is included with symbol degree ``n_weight`` (defaults to
     the series truncation); pass the result to ``kernel_dim_svd`` or slice
-    ``hg_cols`` for the frozen-weight subproblem.
+    ``hg_cols`` for the frozen-weight subproblem.  The rows stop at the
+    multipliers' numerical carrier unless ``n_out`` is given.
     """
     point = _Point.of_disc(disc)
     if n_in is None:  # the degree of ht or gt, one below that of h or g
         n_in = max(point.h.n_max, point.g.n_max) - 1
     if n_weight is None:
         n_weight = n_in
-    if n_out is None:
-        n_out = _default_n_out(r.model.d, r.model.k0, n_in)
     return _linearize(r, qfac, disc.c, point, n_in, n_out, n_weight)
 
 
@@ -466,12 +455,10 @@ def kernel_dim_svd(op, threshold: float = 1e-8) -> int:
 
     Requires the spectrum to separate cleanly (factor 10 across the cut);
     otherwise the count would be grid noise and the call fails instead.
-    The SVD runs on the rows that are not exactly zero: dropping a zero row
-    leaves every nonzero singular value, and so the rank, as it is.
     """
     matrix = op.matrix if hasattr(op, "matrix") else np.asarray(op)
     with _blas_threads(matrix.shape[1]):
-        sigma = np.linalg.svd(matrix[_nonzero_rows(matrix)], compute_uv=False)
+        sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0:
         return matrix.shape[1]
     cut = threshold * sigma[0]
@@ -530,20 +517,18 @@ def kernel_basis_p0(
     the constant and one truncated binomial tail per inside root and order,
     with the ``g`` component completed through the boundary real-part solve.
     The weight corrections come from one multi-right-hand-side solve on the
-    rows where the ``(h, g)`` block is not exactly zero; on the other rows
-    the residual does not depend on the correction, so the minimal-norm
-    solutions are those of the full system.
+    linearization whose rows stop at the multipliers' carrier, as every
+    Jacobian does.
     """
     d, k0 = model.d, model.k0
     defn = DefiningFunction.pure(model)
     disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=max(8, 2 * d))
     point = _Point.of_disc(disc)
-    op = _linearize(defn, qfac, disc.c, point, n_in, _default_n_out(d, k0, n_in), k0)
+    op = _linearize(defn, qfac, disc.c, point, n_in, None, k0)
     matrix = op.matrix
     hg = matrix[:, op.hg_cols]
-    keep = _nonzero_rows(hg)
     with _blas_threads(hg.shape[1]):
-        sol, *_ = np.linalg.lstsq(hg[keep], -matrix[keep, op.weight_cols], rcond=threshold)
+        sol, *_ = np.linalg.lstsq(hg, -matrix[:, op.weight_cols], rcond=threshold)
     weight_dirs = np.eye(2 * k0 + 1, matrix.shape[1])
     weight_dirs[:, op.hg_cols] = sol.T
     raw = list(weight_dirs)

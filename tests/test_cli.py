@@ -76,6 +76,7 @@ def test_config_errors_exit_2(tmp_path):
     bogus_term = {"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]], "bogus": 1}
     huge_map = {"d": 4, "H1": [[math.inf, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
     identity = {"d": 4, "H1": [[1, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
+    overflow_map = {"d": 4, "H1": [[1, 0, 1.0, 0.0], [1100, 0, 1e-12, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
     malformed = [
         ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"re": 1.0}]}}),
         ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2}]}}),
@@ -95,6 +96,10 @@ def test_config_errors_exit_2(tmp_path):
         ("disc", {"model": Z4_MODEL, "solver": {"N": 70000}, "params": {"disc": disc_b}}),
         ("residual", {"model": Z4_MODEL, "solver": {"N": 1e300}, "params": {"disc": disc_b}}),
         ("gap", {"model": Z4_MODEL, "params": {"n_angles": 10**15}}),
+        ("disc", {"model": Z4_MODEL, "params": {"disc": disc_b, "samples": 10**13}}),
+        # a map monomial whose power along the disc passes the series order cap
+        ("determine", {"model": Z4_MODEL, "solver": {"N": 64},
+                       "params": {"map": overflow_map, "t": 1.0, "b_values": [[0, 0]]}}),
         # so are model degrees past the cap, and series past their order cap
         ("analyze", {"model": {"d": 10**9, "k0": 10**9 - 1, "alpha": [{"j": 10**9 - 1, "re": 1.0}]}}),
         ("residual", {"model": {"d": 40, "k0": 20, "alpha": [{"j": 20, "re": 1.0}]},

@@ -40,7 +40,6 @@ from discforge.solver import (
     _h_only_step,
     _linearize,
     _multipliers,
-    _nonzero_rows,
     _operator_value,
     _trace,
     _weight_from_coords,
@@ -331,21 +330,14 @@ def test_assembly_matches_per_column_reference(l, with_weight):
 
 
 @pytest.mark.parametrize("l", [0, 1])
-def test_zero_rows_trimmed_exactly(l):
+def test_t2_rows_vanish_exactly_without_u(l):
     r, qfac, c, ht, gt = _perturbed_point(l)
     n_in, n_out = 12, _default_n_out(4, 3, 12)
     matrix = _linearize(r, qfac, c, _Point(ht, gt), n_in, n_out, None).matrix
     t2 = matrix[2 * n_out : 4 * n_out]
-    # a u-free perturbation leaves r_w constant, so every T2 multiplier vanishes;
-    # a u-term fills the block, so the rows to drop must come from the data
+    # a u-free perturbation leaves r_w constant, so every T2 multiplier vanishes
+    # and _eliminate_g may leave those rows out; a u-term fills the block
     assert t2.any() == (l == 1)
-    keep = _nonzero_rows(matrix)
-    assert not matrix[~keep].any() and np.all(matrix[keep].any(axis=1))
-    f = stack_value(_operator_value(r, qfac, c, _Point(ht, gt)), n_out)
-    rcond = SolverOptions().svd_threshold
-    full, *_ = np.linalg.lstsq(matrix, -f, rcond=rcond)
-    trimmed, *_ = np.linalg.lstsq(matrix[keep], -f[keep], rcond=rcond)
-    assert np.linalg.norm(trimmed - full) <= 1e-12 * np.linalg.norm(full)
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -385,7 +377,7 @@ def _newton_row_counts(monkeypatch, d, split):
     formal, carrier = [], []
 
     def counts(op):
-        keep, n_out = _nonzero_rows(op.matrix), op.n_out
+        keep, n_out = np.any(op.matrix, axis=1), op.n_out
         blocks = ((0, 2 * n_out), (2 * n_out, 4 * n_out), (4 * n_out, None))
         return tuple(int(keep[i:j].sum()) for i, j in blocks)
 
@@ -452,41 +444,37 @@ def test_carrier_reach_of_each_multiplier(block, side, mode, reach):
         assert _carrier_n_out(_Multipliers(zeros, zeros, weight), n_in, 3, 1000) == 3 - mode
 
 
-def test_kernel_on_trimmed_rows_matches_full_rows(monkeypatch):
-    # kernel_dim_svd and kernel_basis_p0 drop the exactly zero rows of the
-    # linearization; keeping every row must give the same spectrum and basis
+def test_kernel_on_carrier_rows_matches_formal_rows(monkeypatch):
+    # the kernel functions' linearizations stop at the multipliers' carrier,
+    # as Newton's do: the rows only rounding-level coefficients reach leave the
+    # spectrum, the kernel dimension and the basis as the formal rows give them
     model = _model_d4k3()
     qfac = factor_Q(model)
     disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=8)
-    op = linearize_at(_pure(model), disc, qfac, n_in=48, n_weight=model.k0)
-    svd = np.linalg.svd
+    lstsq = np.linalg.lstsq
 
-    def run(trim):
-        spectra, dropped = [], []
+    def run():
+        rows = []
 
-        def recording_svd(a, **kwargs):
-            spectra.append(svd(a, **kwargs))
-            return spectra[-1]
+        def recording_lstsq(a, b, **kwargs):
+            rows.append(a.shape[0])
+            return lstsq(a, b, **kwargs)
 
-        def recording_trim(matrix):
-            mask = trim(matrix)
-            dropped.append(int(mask.size - mask.sum()))
-            return mask
-
+        op = linearize_at(_pure(model), disc, qfac, n_in=48, n_weight=model.k0)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "svd", recording_svd)
-            patch.setattr(solver, "_nonzero_rows", recording_trim)
-            dim = kernel_dim_svd(op)
-            sigma = spectra[0]
+            patch.setattr(np.linalg, "lstsq", recording_lstsq)
             basis = kernel_basis_p0(model, qfac, n_in=48)
-        return dim, sigma, basis, dropped
+        sigma = np.linalg.svd(op.matrix, compute_uv=False)
+        return op.matrix.shape[0], rows, kernel_dim_svd(op), sigma, basis
 
-    dim, sigma, basis, dropped = run(_nonzero_rows)
-    assert len(dropped) == 2 and min(dropped) > 0  # both functions trim rows here
-    full_dim, full_sigma, full_basis, _ = run(lambda m: np.ones(m.shape[0], dtype=bool))
-    assert dim == full_dim == basis.dim == full_basis.dim
-    assert np.max(np.abs(sigma - full_sigma)) <= 1e-12 * full_sigma[0]
-    assert np.max(np.abs(basis.coords - full_basis.coords)) < 1e-10
+    rows, lstsq_rows, dim, sigma, basis = run()
+    monkeypatch.setattr(solver, "_carrier_n_out", lambda mults, n_in, n_weight, n_out: n_out)
+    formal_rows, formal_lstsq_rows, formal_dim, formal_sigma, formal_basis = run()
+    assert rows < formal_rows and lstsq_rows[0] < formal_lstsq_rows[0]
+    assert dim == formal_dim == basis.dim == formal_basis.dim
+    rank = sigma.size - dim
+    assert np.all(np.abs(sigma[:rank] - formal_sigma[:rank]) <= 1e-12 * formal_sigma[:rank])
+    assert np.max(np.abs(basis.coords - formal_basis.coords)) <= 1e-10
 
 
 def test_products_convolve_only_nonzero_windows(monkeypatch):
@@ -816,7 +804,7 @@ def test_h_only_step_is_the_full_minimal_norm_step(d, split):
     # there and for a random right-hand side, which the Jacobian does not
     # reach: the eliminated rows must keep their least-squares weight
     op, rhs = _first_step(d, split)
-    keep = _nonzero_rows(op.matrix)
+    keep = np.any(op.matrix, axis=1)
     jac = op.matrix[keep]
     _, sigma, vt = np.linalg.svd(jac)
     kernel = vt[np.sum(sigma > 1e-8 * sigma[0]) :]
