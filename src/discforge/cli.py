@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .discs import ModelDiscParams, model_disc, stationarity_residual
-from .exceptions import ConfigError, NumericalError, strict_keys
+from .exceptions import ConfigError, NumericalError, malformed, strict_keys
 from .jets import (
     _pair,
     determination_experiment,
@@ -66,21 +67,36 @@ _TOP_KEYS = {"schema", "model", "perturbation", "solver", "params"}
 # each boundary sample is one CSV row.
 MAX_ANGLES = 1 << 16
 
-_PARAM_KEYS = {
-    "analyze": set(),
-    "disc": {"disc", "samples"},
-    "residual": {"disc"},
-    "solve": {"disc"},
-    "kernel": set(),
-    "jet": {"jets"},
-    "gap": {"n_angles"},
-    "determine": {"map", "t", "b_values", "boundary_tol"},
+
+def _count(value) -> int:
+    count = int(value)
+    if not 1 <= count <= MAX_ANGLES:
+        raise ValueError(f"{count} lies outside [1, {MAX_ANGLES}]")
+    return count
+
+
+def _pairs(value) -> tuple:
+    return tuple(complex(re, im) for re, im in value)
+
+
+# The reader of each parameter of each command, and the parameter a command needs.
+_PARAMS = {
+    "analyze": {},
+    "disc": {"disc": ModelDiscParams.from_dict, "samples": _count},
+    "residual": {"disc": ModelDiscParams.from_dict},
+    "solve": {"disc": ModelDiscParams.from_dict},
+    "kernel": {},
+    "jet": {"jets": _pairs},
+    "gap": {"n_angles": _count},
+    "determine": {"map": BiholoMap.from_dict, "t": float, "b_values": _pairs, "boundary_tol": float},
 }
+_REQUIRED = {"disc": "disc", "residual": "disc", "solve": "disc", "determine": "map"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description: model, defining function, options, params."""
+    """Validated run description: model, defining function, options, and the
+    command's params, each read into its typed value."""
 
     model: ModelPolynomial
     defn: DefiningFunction
@@ -90,7 +106,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data, command: str) -> "RunConfig":
         strict_keys(data, _TOP_KEYS, "config")
-        if _number(data.get("schema", SCHEMA_VERSION), int, "schema") != SCHEMA_VERSION:
+        with malformed("schema"):
+            schema = int(data.get("schema", SCHEMA_VERSION))
+        if schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema (expected {SCHEMA_VERSION})")
         if "model" not in data:
             raise ConfigError("run config needs a model")
@@ -106,21 +124,16 @@ class RunConfig:
             raise ConfigError(
                 f"d (N + 2) = {model.d * (opts.n_max + 2)} exceeds the series order cap {MAX_ORDER}"
             )
-        params = strict_keys(data.get("params", {}), _PARAM_KEYS[command], f"{command} parameter")
-        return cls(model, defn, opts, dict(params))
-
-    def disc_params(self) -> ModelDiscParams:
-        if "disc" not in self.params:
-            raise ConfigError("this command needs params.disc with b, v (and theta)")
-        return ModelDiscParams.from_dict(self.params["disc"])
-
-
-def _number(value, kind: type, what: str):
-    """``value`` as an int or float (``kind``); anything else is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number: {exc}") from None
+        readers = _PARAMS[command]
+        raw = strict_keys(data.get("params", {}), set(readers), f"{command} parameter")
+        need = _REQUIRED.get(command)
+        if need is not None and need not in raw:
+            raise ConfigError(f"{command} needs params.{need}")
+        params = {}
+        for key, value in raw.items():
+            with malformed(f"params.{key}"):
+                params[key] = readers[key](value)
+        return cls(model, defn, opts, params)
 
 
 def _series_modes(series) -> list[list[float]]:
@@ -157,13 +170,10 @@ def cmd_analyze(cfg: RunConfig) -> dict:
 
 
 def cmd_disc(cfg: RunConfig) -> dict:
-    p = cfg.disc_params()
-    samples = _number(cfg.params.get("samples", 64), int, "params.samples")
-    if not 1 <= samples <= MAX_ANGLES:
-        raise ConfigError(f"params.samples must lie in [1, {MAX_ANGLES}]")
+    p = cfg.params["disc"]
     disc = model_disc(cfg.model, p, n_max=cfg.opts.n_max)
     res = stationarity_residual(disc, cfg.defn)
-    trace = disc.boundary_samples(samples)
+    trace = disc.boundary_samples(cfg.params.get("samples", 64))
     rows = [
         (a, c, h.real, h.imag, g.real, g.imag)
         for a, c, h, g in zip(trace["angle"], trace["c"], trace["h"], trace["g"])
@@ -181,7 +191,7 @@ def cmd_disc(cfg: RunConfig) -> dict:
 
 
 def cmd_residual(cfg: RunConfig) -> dict:
-    p = cfg.disc_params()
+    p = cfg.params["disc"]
     disc = model_disc(cfg.model, p, n_max=cfg.opts.n_max)
     res = stationarity_residual(disc, cfg.defn)
     report = {
@@ -193,7 +203,7 @@ def cmd_residual(cfg: RunConfig) -> dict:
 
 
 def cmd_solve(cfg: RunConfig) -> dict:
-    p = cfg.disc_params()
+    p = cfg.params["disc"]
     init = model_disc(cfg.model, p, n_max=cfg.opts.n_max)
     qfac = factor_Q(cfg.model)
     result = solve_newton(cfg.defn, qfac, p.b, init, cfg.opts)
@@ -236,21 +246,14 @@ def cmd_jet(cfg: RunConfig) -> dict:
         "condition_number": float(jm.condition_number),
     }
     if "jets" in cfg.params:
-        raw = cfg.params["jets"]
-        try:
-            jets = np.array([complex(re, im) for re, im in raw])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"params.jets must be [re, im] pairs: {exc}") from None
-        series = jet_reconstruct(cfg.model, qfac, jets)
+        series = jet_reconstruct(cfg.model, qfac, cfg.params["jets"])
         report["reconstruction"] = series.to_dict()
         report["reconstruction_jets"] = [_pair(v) for v in jet_map(series, jm.n)]
     return {"jet.json": report}
 
 
 def cmd_gap(cfg: RunConfig) -> dict:
-    n_angles = _number(cfg.params.get("n_angles", 64), int, "params.n_angles")
-    if not 1 <= n_angles <= MAX_ANGLES:
-        raise ConfigError(f"params.n_angles must lie in [1, {MAX_ANGLES}]")
+    n_angles = cfg.params.get("n_angles", 64)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     values = [surjectivity_gap(cfg.model, float(a)) for a in angles]
     report = {
@@ -264,21 +267,9 @@ def cmd_gap(cfg: RunConfig) -> dict:
 
 
 def cmd_determine(cfg: RunConfig) -> dict:
-    if "map" not in cfg.params:
-        raise ConfigError("determine needs params.map (the biholomorphism)")
-    h_map = BiholoMap.from_dict(cfg.params["map"])
-    kwargs = {}
-    if "t" in cfg.params:
-        kwargs["t"] = _number(cfg.params["t"], float, "params.t")
-    if "b_values" in cfg.params:
-        try:
-            kwargs["b_values"] = tuple(complex(re, im) for re, im in cfg.params["b_values"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"params.b_values must be [re, im] pairs: {exc}") from None
-    if "boundary_tol" in cfg.params:
-        kwargs["boundary_tol"] = _number(cfg.params["boundary_tol"], float, "params.boundary_tol")
-    qfac = factor_Q(cfg.model)
-    report = determination_experiment(cfg.defn, h_map, qfac, cfg.opts, **kwargs)
+    kwargs = dict(cfg.params)
+    h_map = kwargs.pop("map")
+    report = determination_experiment(cfg.defn, h_map, factor_Q(cfg.model), cfg.opts, **kwargs)
     return {"determine.json": report}
 
 
@@ -298,13 +289,27 @@ _COMMANDS = {
 
 
 def _render(name: str, payload) -> str:
+    """The text of one artifact; a NaN or infinity in it is a ``NumericalError``."""
     if name.endswith(".json"):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:  # allow_nan=False refuses NaN and the infinities
+            raise NumericalError(f"{name} would hold a non-finite number") from None
     header, rows = payload
+    if not np.isfinite(np.array(rows, dtype=float)).all():
+        raise NumericalError(f"{name} would hold a non-finite number")
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _finite(literal: str) -> float:
+    """JSON number hook: refuse NaN, the infinities and literals past the float range."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {literal} in the config")
+    return value
 
 
 def _write_atomic(path: Path, text: str):
@@ -338,19 +343,16 @@ def main(argv=None) -> int:
     )
 
     start = time.perf_counter()
+    status, error, texts = "ok", None, {}
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-
-    status, error, files = "ok", None, {}
-    try:
+        try:
+            with malformed("malformed JSON"):
+                raw = json.loads(Path(args.config).read_text(), parse_float=_finite, parse_constant=_finite)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
         cfg = RunConfig.from_dict(raw, args.command)
         files = _COMMANDS[args.command](cfg)
+        texts = {name: _render(name, payload) for name, payload in files.items()}
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -360,8 +362,8 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, payload in sorted(files.items()):
-        _write_atomic(out / name, _render(name, payload))
+    for name, text in sorted(texts.items()):
+        _write_atomic(out / name, text)
         log.debug("wrote %s", out / name)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -375,7 +377,7 @@ def main(argv=None) -> int:
         },
         "status": status,
         "error": error,
-        "files": sorted(files),
+        "files": sorted(texts),
         "wall_time_s": round(time.perf_counter() - start, 6),
     }
     _write_atomic(out / "manifest.json", _render("manifest.json", manifest))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, strict_keys
+from .exceptions import ConfigError, NumericalError, malformed, strict_keys
 from .model import ModelPolynomial
 from .perturb import DefiningFunction, eval_mon
 from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part
@@ -66,10 +66,11 @@ class ModelDiscParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if abs(self.b) >= 0.5:
+        # written so that NaN fails each check too
+        if not abs(self.b) < 0.5:
             raise ConfigError("model disc parameter needs |b| < 1/2")
-        if self.v == 0:
-            raise ConfigError("model disc needs v != 0")
+        if not 0 < abs(self.v) < math.inf or not math.isfinite(self.theta):
+            raise ConfigError("model disc needs a finite v != 0 and a finite theta")
 
     def to_dict(self) -> dict:
         return {
@@ -81,13 +82,8 @@ class ModelDiscParams:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelDiscParams":
         strict_keys(data, {"b", "v", "theta"}, "disc parameter")
-        try:
-            b = complex(*data["b"])
-            v = complex(*data["v"])
-            theta = float(data.get("theta", 0.0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed disc parameters: {exc}") from None
-        return cls(b, v, theta)
+        with malformed("malformed disc parameters"):
+            return cls(complex(*data["b"]), complex(*data["v"]), float(data.get("theta", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -123,14 +119,8 @@ class LiftedDisc:
     @classmethod
     def from_dict(cls, data: dict) -> "LiftedDisc":
         strict_keys(data, {"c", "h", "g"}, "disc")
-        try:
-            return cls(
-                TrigSeries.from_dict(data["c"]),
-                TrigSeries.from_dict(data["h"]),
-                TrigSeries.from_dict(data["g"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"disc data missing key {exc}") from None
+        with malformed("malformed disc data"):
+            return cls(*(TrigSeries.from_dict(data[key]) for key in "chg"))
 
     def boundary_samples(self, num: int) -> np.ndarray:
         """Structured boundary trace on ``num`` equispaced angles."""
@@ -169,7 +159,9 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     p = TrigSeries.zero(0)
     for j, alpha in model.alpha.items():
         p = p + (ph[j] * ph[model.d - j].conjugate()) * alpha
-    g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs), tol=1e-9)
+    if not np.isfinite(p.coeffs).all():
+        raise NumericalError(f"model disc overflows: P(h, conj h) is not finite at |v| = {abs(params.v):.3e}")
+    g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs))
     g = g + TrigSeries.constant(-g.evaluate(1.0))
     return LiftedDisc(c, h, g)
 

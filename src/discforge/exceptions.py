@@ -1,10 +1,12 @@
-"""Shared exception types, and the strict key check of config sections.
+"""Shared exception types, and the two rules every config reader follows.
 
 ``ConfigError`` marks bad user input (CLI exit code 2); ``NumericalError``
 marks a computation that ran but failed its own quality gates (exit code 1).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class DiscforgeError(Exception):
@@ -31,3 +33,14 @@ def strict_keys(data, allowed, what: str) -> dict:
     if extra:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
     return data
+
+
+@contextmanager
+def malformed(what: str):
+    """Read config values: a missing key or a value of the wrong type or range
+    (``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError``) becomes
+    ``ConfigError("<what>: <error>")``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None

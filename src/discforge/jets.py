@@ -195,20 +195,20 @@ def surjectivity_gap(model: ModelPolynomial, theta: float) -> float:
     return float(abs(i1) ** 2 - abs(i2) ** 2)
 
 
-def _boundary_defect(defn: DefiningFunction, h_map: BiholoMap, n_angles: int = 24) -> float:
-    """Worst violation of the zero set of ``defn`` under ``h_map``.
+def _boundary_defect(defn: DefiningFunction, h_map: BiholoMap) -> float:
+    """Worst violation of the zero set of ``defn`` under ``h_map``, NaN if any sample is NaN.
 
-    Sample points are placed exactly on the zero set by solving the graph
-    equation for the real part of w.
+    Sample points on 24 angles are placed exactly on the zero set by solving
+    the graph equation for the real part of w.
     """
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    angles = np.exp(2j * np.pi * np.arange(24) / 24)
     worst = 0.0
     for radius in (0.25, 0.5, 0.75, 1.0):
         for u in (0.0, 0.05, -0.05):
             z = radius * angles
             w = defn.eval_r(z, 1j * u) + 1j * u
             z2, w2 = h_map.apply_numeric(z, w)
-            worst = max(worst, float(np.max(np.abs(defn.eval_r(z2, w2)))))
+            worst = float(np.maximum(worst, np.max(np.abs(defn.eval_r(z2, w2)))))
     return worst
 
 
@@ -265,9 +265,9 @@ def determination_experiment(
     h_t = dilate_map(h_map, t)
     x_val = x_norm_distance(r_t)
     defect = _boundary_defect(r_t, h_t)
-    if x_val > X_NORM_THRESHOLD:
+    if not x_val <= X_NORM_THRESHOLD:
         raise NumericalError(f"[scaling] dilated defining function too far out: {x_val:.3e}")
-    if defect > boundary_tol:
+    if not defect <= boundary_tol:
         raise ConfigError(f"[hypothesis] map moves the zero set by {defect:.3e}")
 
     runs = []
@@ -277,7 +277,10 @@ def determination_experiment(
         sol = solve_newton(r_t, qfac, b, init, opts)
         base = sol.disc
         h_new, g_new = compose_disc(h_t, base)
-        composed = LiftedDisc(base.c, h_new, g_new)
+        try:
+            composed = LiftedDisc(base.c, h_new, g_new)
+        except ConfigError as exc:  # the composed disc, not the input, fails the check
+            raise NumericalError(f"composed disc fails its pin check: {exc}") from None
         jets_base = jet_map(base.h, order)
         jets_comp = jet_map(h_new, order)
         rec_base = jet_reconstruct(model, qfac, jets_base)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericalError, strict_keys
+from .exceptions import ConfigError, NumericalError, malformed, strict_keys
 from .series import TrigSeries, coeff_distance, multiply
 
 __all__ = [
@@ -122,7 +122,7 @@ class ModelPolynomial:
     def from_dict(cls, data: dict) -> "ModelPolynomial":
         strict_keys(data, {"d", "k0", "alpha"}, "model")
         upper: dict[int, complex] = {}
-        try:
+        with malformed("malformed model data"):
             d = int(data["d"])
             k0 = int(data["k0"])
             for item in data["alpha"]:
@@ -131,8 +131,6 @@ class ModelPolynomial:
                 if 2 * j < d:
                     raise ConfigError("model data lists only j >= d/2; mirrors are derived")
                 upper[j] = float(item["re"]) + 1j * float(item.get("im", 0.0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed model data: {exc}") from None
         return cls.from_upper(d, k0, upper)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, strict_keys
+from .exceptions import ConfigError, malformed, strict_keys
 from .model import ModelPolynomial
 from .series import MAX_ORDER, Powers, TrigSeries, multiply
 
@@ -148,8 +148,8 @@ class DefiningFunction:
                 raise ConfigError("theta1 must vanish to second order in Im w")
             if deg > MAX_POLY_DEGREE:
                 raise ConfigError(f"theta1 degree exceeds {MAX_POLY_DEGREE}")
-            if abs(complex(val).imag) > 0:
-                raise ConfigError("theta1 coefficients must be real")
+            if abs(complex(val).imag) > 0 or not math.isfinite(complex(val).real):
+                raise ConfigError("theta1 coefficients must be real and finite")
             if val != 0:
                 th1[deg] = float(val)
         object.__setattr__(self, "theta1", th1)
@@ -218,7 +218,7 @@ class DefiningFunction:
     def from_dict(cls, model: ModelPolynomial, data: dict) -> "DefiningFunction":
         strict_keys(data, {"terms", "theta1"}, "perturbation")
         terms = []
-        try:
+        with malformed("malformed perturbation"):
             for item in data.get("terms", []):
                 strict_keys(item, {"i", "j", "l", "coeffs"}, "perturbation term")
                 coeffs = {(int(m), int(n)): re + 1j * im for m, n, re, im in item["coeffs"]}
@@ -226,8 +226,6 @@ class DefiningFunction:
                     PerturbationTerm(int(item["i"]), int(item["j"]), int(item["l"]), coeffs)
                 )
             theta1 = {int(deg): float(val) for deg, val in data.get("theta1", [])}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed perturbation: {exc}") from None
         return cls(model, tuple(terms), theta1)
 
 
@@ -337,12 +335,10 @@ class BiholoMap:
     @classmethod
     def from_dict(cls, data: dict) -> "BiholoMap":
         strict_keys(data, {"d", "H1", "H2"}, "map")
-        try:
+        with malformed("malformed map data"):
             h1 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H1"]}
             h2 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H2"]}
             return cls(int(data["d"]), h1, h2)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed map data: {exc}") from None
 
 
 def dilate_map(h: BiholoMap, t: float) -> BiholoMap:

@@ -127,9 +127,9 @@ class TrigSeries:
         return TrigSeries(self.coeffs[k - n_max : k + n_max + 1])
 
     def trimmed(self, tol: float = 0.0) -> "TrigSeries":
-        """Shrink the carrier to the smallest window holding all modes > tol."""
+        """Shrink the carrier to the smallest window holding all modes > tol and every non-finite mode."""
         k = self.n_max
-        mask = np.abs(self.coeffs) > tol
+        mask = ~(np.abs(self.coeffs) <= tol)
         if not mask.any():
             return TrigSeries.zero()
         idx = np.nonzero(mask)[0]

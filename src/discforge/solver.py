@@ -41,7 +41,7 @@ from typing import NoReturn
 import numpy as np
 
 from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual, weight_series
-from .exceptions import ConfigError, NumericalError, strict_keys
+from .exceptions import ConfigError, NumericalError, malformed, strict_keys
 from .model import QFactorization
 from .perturb import DefiningFunction, d_u, x_norm_distance
 from .series import (
@@ -107,12 +107,14 @@ class SolverOptions:
             raise ConfigError(f"solver N = {self.n_max} exceeds the cap {MAX_N}")
         if not (0 < self.tol < 1) or not (0 < self.svd_threshold < 1):
             raise ConfigError("solver tolerances must lie in (0, 1)")
+        if not 0 < self.x_norm_bound < math.inf:
+            raise ConfigError("solver x_norm_bound must be positive and finite")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverOptions":
         strict_keys(data, {"N", "tol", "max_iter", "svd_threshold", "x_norm_bound"}, "solver option")
         kwargs = {}
-        try:
+        with malformed("malformed solver options"):
             if "N" in data:
                 kwargs["n_max"] = int(data["N"])
             for key in ("tol", "svd_threshold", "x_norm_bound"):
@@ -120,8 +122,6 @@ class SolverOptions:
                     kwargs[key] = float(data[key])
             if "max_iter" in data:
                 kwargs["max_iter"] = int(data["max_iter"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed solver options: {exc}") from None
         return cls(**kwargs)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discforge.cli import main
+from discforge.cli import RunConfig, main
 from discforge.discs import LiftedDisc, ModelDiscParams, model_disc
+from discforge.exceptions import ConfigError
 from discforge.model import ModelPolynomial
+from discforge.perturb import BiholoMap
 from discforge.series import TrigSeries, coeff_distance
 
 Z4_MODEL = {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": 1.0, "im": 0.0}]}
@@ -57,7 +60,7 @@ def test_analyze_split_model_roots(tmp_path):
     assert rep["ell0"] == 1 and rep["i0"] == 1
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     bad_alpha = {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": 1.0, "im": 0.3}]}
     rc, _ = _run(tmp_path, "analyze", {"model": bad_alpha}, name="a.json")
     assert rc == 2
@@ -77,6 +80,14 @@ def test_config_errors_exit_2(tmp_path):
     huge_map = {"d": 4, "H1": [[math.inf, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
     identity = {"d": 4, "H1": [[1, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
     overflow_map = {"d": 4, "H1": [[1, 0, 1.0, 0.0], [1100, 0, 1e-12, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
+    nan_term = {"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, math.nan, 0.0]]}
+
+    def z4(params):
+        return {"model": Z4_MODEL, "solver": {"N": 32}, "params": params}
+
+    def z5_map(coeff):
+        return {"d": 4, "H1": [[1, 0, 1.0, 0.0], [5, 0, coeff, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
+
     malformed = [
         ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"re": 1.0}]}}),
         ("analyze", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2}]}}),
@@ -112,10 +123,34 @@ def test_config_errors_exit_2(tmp_path):
         ("determine", {"model": Z4_MODEL, "params": {"map": identity, "b_values": [[0, 10**400]]}}),
         # a model whose curvature vanishes on the circle breaks the hypotheses
         ("analyze", {"model": {"d": 4, "k0": 3, "alpha": [{"j": 3, "re": 1.0}, {"j": 2, "re": 1.0}]}}),
+        # NaN and Infinity in the JSON text, wherever they stand
+        ("disc", z4({"disc": {"b": [math.nan, 0], "v": [1, 0]}})),
+        ("disc", z4({"disc": {"b": [0.1, 0], "v": [math.nan, 0]}})),
+        ("disc", z4({"disc": {"b": [0.1, 0], "v": [math.inf, 0]}})),
+        ("disc", z4({"disc": {**disc_b, "theta": math.nan}})),
+        ("solve", z4({"disc": {"b": [math.nan, 0], "v": [1, 0]}})),
+        ("determine", z4({"map": identity, "t": 0.5, "b_values": [[math.nan, 0]]})),
+        ("solve", {**z4({"disc": disc_b}), "solver": {"N": 32, "x_norm_bound": math.nan}}),
+        ("determine", z4({"map": identity, "t": 0.5, "boundary_tol": math.nan})),
+        ("jet", {"model": D4K3_MODEL, "params": {"jets": [[math.nan, 0], [0, 0], [0, 0]]}}),
+        ("determine", z4({"map": z5_map(math.nan), "t": 0.5})),
+        ("solve", {**z4({"disc": disc_b}), "perturbation": {"terms": [nan_term]}}),
+        ("solve", {**z4({"disc": disc_b}), "perturbation": {"theta1": [[2, math.nan]]}}),
+        # and a string that float() or complex() reads as NaN or infinity
+        ("disc", z4({"disc": {**disc_b, "theta": "nan"}})),
+        ("disc", z4({"disc": {"b": ["nan"], "v": [1, 0]}})),
+        ("disc", z4({"disc": {"b": [0.1, 0], "v": ["inf"]}})),
+        ("residual", {**z4({"disc": disc_b}), "perturbation": {"theta1": [[2, "nan"]]}}),
     ]
     for k, (command, config) in enumerate(malformed):
         rc, _ = _run(tmp_path, command, config, name=f"m{k}.json")
         assert rc == 2, (command, config)
+    # a map that blows up on the zero set fails the hypothesis gate, not the
+    # composed disc's pin check
+    capsys.readouterr()
+    rc, _ = _run(tmp_path, "determine", z4({"map": z5_map(1e300), "t": 0.5, "b_values": [[0.1, 0]]}))
+    assert rc == 2
+    assert "[hypothesis] map moves the zero set" in capsys.readouterr().err
 
 
 def test_unreadable_config_exits_2(tmp_path):
@@ -124,7 +159,108 @@ def test_unreadable_config_exits_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["analyze", "--config", str(broken), "--out", str(out)]) == 2
+    broken.write_bytes(b'{"model": "\xff"}')  # not UTF-8
+    assert main(["analyze", "--config", str(broken), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+_TERMS = [{"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]]}]
+# one valid config per command, with every section and parameter it reads
+_VALID = {
+    "analyze": {"schema": 1, "model": D4K3_MODEL},
+    "disc": {
+        "model": Z4_MODEL,
+        "solver": {"N": 16},
+        "params": {"disc": {"b": [0.1, 0.0], "v": [1.0, 0.0], "theta": 0.5}, "samples": 8},
+    },
+    "residual": {
+        "model": Z4_MODEL,
+        "perturbation": {"terms": _TERMS, "theta1": [[2, 1e-4]]},
+        "solver": {"N": 16},
+        "params": {"disc": {"b": [0.1, 0.0], "v": [1.0, 0.0]}},
+    },
+    "solve": {
+        "model": Z4_MODEL,
+        "perturbation": {"terms": _TERMS},
+        "solver": {"N": 32, "tol": 1e-9, "max_iter": 25, "svd_threshold": 1e-8, "x_norm_bound": 10.0},
+        "params": {"disc": {"b": [0.1, 0.0], "v": [1.0, 0.0]}},
+    },
+    "kernel": {"model": Z4_MODEL},
+    "jet": {"model": Z4_MODEL, "params": {"jets": [[-1.0, 0.0], [0.0, 0.0]]}},
+    "gap": {"model": Z4_MODEL, "params": {"n_angles": 8}},
+    "determine": {
+        "model": Z4_MODEL,
+        "solver": {"N": 32},
+        "params": {
+            "map": {"d": 4, "H1": [[1, 0, 1.0, 0.0], [9, 0, 1e-4, 0.0]], "H2": [[0, 1, 1.0, 0.0]]},
+            "t": 0.125,
+            "b_values": [[0.1, 0.0]],
+            "boundary_tol": 1e-3,
+        },
+    },
+}
+
+
+def _numeric_leaves(node, path=()):
+    """The paths of every int and float in a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _numeric_leaves(child, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def test_non_finite_config_numbers_exit_2(tmp_path):
+    # NaN, the infinities and float literals past the float range are refused
+    # where the JSON is read, whichever number of whichever section they replace
+    for command, config in _VALID.items():
+        rc, _ = _run(tmp_path, command, config, name=f"{command}.json")
+        assert rc == 0, command
+        for k, path in enumerate(_numeric_leaves(config)):
+            marked = copy.deepcopy(config)
+            node = marked
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = "@"
+            for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+                cfg = tmp_path / "leaf.json"
+                cfg.write_text(json.dumps(marked).replace('"@"', literal))
+                out = tmp_path / f"out_{command}_{k}"
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, (command, path, literal)
+                assert not out.exists()
+
+
+def test_overflowing_runs_exit_1_and_write_only_the_manifest(tmp_path):
+    # finite inputs the validators accept whose numbers overflow: a numerical
+    # failure, and no artifact holding NaN or Infinity
+    cases = [
+        ("disc", {"model": Z4_MODEL, "solver": {"N": 32}, "params": {"disc": {"b": [0.49, 0.0], "v": [1e80, 0.0]}}}),
+        ("residual", {"model": Z4_MODEL, "solver": {"N": 32}, "params": {"disc": {"b": [0.1, 0.0], "v": [1e200, 0.0]}}}),
+        ("gap", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": 1e300, "im": 0.0}]}}),
+    ]
+    for k, (command, config) in enumerate(cases):
+        rc, out = _run(tmp_path, command, config, name=f"o{k}.json")
+        assert rc == 1, command
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "numerical_failure" and manifest["files"] == []
+
+
+def test_run_config_reads_typed_params():
+    identity = {"d": 4, "H1": [[1, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
+    disc = {"b": [0.1, 0.0], "v": [1.0, 0.0]}
+    cfg = RunConfig.from_dict({"model": Z4_MODEL, "params": {"disc": disc, "samples": 8}}, "disc")
+    assert cfg.params == {"disc": ModelDiscParams(0.1, 1.0), "samples": 8}
+    params = {"map": identity, "t": 1, "b_values": [[0.1, 0.2]]}
+    cfg = RunConfig.from_dict({"model": Z4_MODEL, "params": params}, "determine")
+    assert cfg.params == {"map": BiholoMap.identity(4), "t": 1.0, "b_values": (0.1 + 0.2j,)}
+    # every parameter is read, and refused, before any command runs
+    with pytest.raises(ConfigError, match="params.jets"):
+        RunConfig.from_dict({"model": Z4_MODEL, "params": {"jets": [[1.0, 0.0, 2.0]]}}, "jet")
+    with pytest.raises(ConfigError, match="params.samples"):
+        RunConfig.from_dict({"model": Z4_MODEL, "params": {"disc": disc, "samples": 0}}, "disc")
+    with pytest.raises(ConfigError, match="needs params.map"):
+        RunConfig.from_dict({"model": Z4_MODEL}, "determine")
 
 
 def test_disc_writes_family_disc_and_trace(tmp_path):

@@ -248,6 +248,15 @@ def test_divide_one_minus_zeta_inverts_multiplication():
         divide_one_minus_zeta(TrigSeries.constant(1.0))
 
 
+def test_trimmed_keeps_non_finite_modes():
+    # a NaN or infinite mode is no zero: trimming keeps it, so it still shows
+    series = TrigSeries.from_mode_dict({-2: np.inf, 0: 1.0, 3: np.nan, 4: 1e-20})
+    kept = series.trimmed(1e-12)
+    assert kept.n_max == 3
+    assert np.isnan(kept.coeff(3)) and np.isinf(kept.coeff(-2))
+    assert TrigSeries.from_mode_dict({5: np.nan}).trimmed().n_max == 5
+
+
 def test_analytic_from_real_part_roundtrip():
     rng = np.random.default_rng(23)
     g0 = TrigSeries(np.concatenate([np.zeros(5), rng.standard_normal(6) + 1j * rng.standard_normal(6)]))

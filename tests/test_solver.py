@@ -78,6 +78,10 @@ def test_options_from_dict_strict():
         SolverOptions.from_dict({"N": 64, "tolerance": 1e-8})
     with pytest.raises(ConfigError):
         SolverOptions(n_max=2)
+    # a NaN, infinite or non-positive bound would switch the distance gate off
+    for bound in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ConfigError):
+            SolverOptions(x_norm_bound=bound)
 
 
 def test_pack_unpack_round_trip():
