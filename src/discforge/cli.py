@@ -68,16 +68,23 @@ _TOP_KEYS = {"schema", "model", "perturbation", "solver", "params"}
 MAX_ANGLES = 1 << 16
 
 
-def _count(value) -> int:
-    count = int(value)
-    if not 1 <= count <= MAX_ANGLES:
-        raise ValueError(f"{count} lies outside [1, {MAX_ANGLES}]")
-    return count
+def _checked(read, ok, rule: str):
+    """``read``, then refuse a value that fails ``ok``, the condition ``rule`` states."""
+
+    def reader(value):
+        out = read(value)
+        if not ok(out):
+            raise ValueError(f"{value!r} breaks {rule}")
+        return out
+
+    return reader
 
 
 def _pairs(value) -> tuple:
     return tuple(complex(re, im) for re, im in value)
 
+
+_count = _checked(int, lambda n: 1 <= n <= MAX_ANGLES, f"1 <= count <= {MAX_ANGLES}")
 
 # The reader of each parameter of each command, and the parameter a command needs.
 _PARAMS = {
@@ -88,7 +95,12 @@ _PARAMS = {
     "kernel": {},
     "jet": {"jets": _pairs},
     "gap": {"n_angles": _count},
-    "determine": {"map": BiholoMap.from_dict, "t": float, "b_values": _pairs, "boundary_tol": float},
+    "determine": {
+        "map": BiholoMap.from_dict,
+        "t": _checked(float, lambda t: 0 < t <= 1, "0 < t <= 1"),
+        "b_values": _checked(_pairs, lambda bs: all(abs(b) < 0.5 for b in bs), "|b| < 1/2 for every b"),
+        "boundary_tol": _checked(float, lambda tol: 0 <= tol < math.inf, "0 <= boundary_tol < inf"),
+    },
 }
 _REQUIRED = {"disc": "disc", "residual": "disc", "solve": "disc", "determine": "map"}
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError, malformed, strict_keys
-from .model import ModelPolynomial
-from .perturb import DefiningFunction, eval_mon
+from .model import ModelPolynomial, eval_mon
+from .perturb import DefiningFunction
 from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part
 
 __all__ = [
@@ -212,7 +212,7 @@ def stationarity_residual(
     return res1, res2, res3
 
 
-def cauchy_center(disc: LiftedDisc, defn: DefiningFunction, num: int | None = None) -> complex:
+def cauchy_center(disc: LiftedDisc, defn: DefiningFunction) -> complex:
     """Recover ``g(0)`` from the boundary data via a Cauchy-type integral.
 
     Uses ``g(0) = (1/pi) integral p / (1 - zeta) dtheta`` where ``p`` is the
@@ -221,8 +221,7 @@ def cauchy_center(disc: LiftedDisc, defn: DefiningFunction, num: int | None = No
     The grid is midpoint-shifted so the removable point ``zeta = 1`` is never
     sampled.
     """
-    if num is None:
-        num = max(1024, 8 * max(disc.h.n_max, disc.g.n_max) + 8)
+    num = max(1024, 8 * max(disc.h.n_max, disc.g.n_max) + 8)
     angles = 2.0 * np.pi * (np.arange(num) + 0.5) / num
     pts = np.exp(1j * angles)
     hv = disc.h.evaluate(pts)

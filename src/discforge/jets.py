@@ -20,7 +20,7 @@ import numpy as np
 
 from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual
 from .exceptions import ConfigError, NumericalError
-from .model import ModelPolynomial, QFactorization
+from .model import ModelPolynomial, QFactorization, d_z, eval_mon
 from .perturb import (
     BiholoMap,
     DefiningFunction,
@@ -187,8 +187,9 @@ def surjectivity_gap(model: ModelPolynomial, theta: float) -> float:
     k = 256
     zeta = np.exp(2j * np.pi * np.arange(k) / k)
     z = (1 - zeta) * np.exp(1j * theta)
-    quad1 = complex(np.mean(model.eval_Pz(z) * zeta))
-    quad2 = complex(np.mean(model.eval_Pzbar(z) * zeta**2))
+    p_z = eval_mon(d_z(model.mon), z, np.conj(z), 0.0)
+    quad1 = complex(np.mean(p_z * zeta))
+    quad2 = complex(np.mean(np.conj(p_z) * zeta**2))
     tol = 1e-10 * max(1.0, abs(i1), abs(i2))
     if abs(quad1 - i1) > tol or abs(quad2 - i2) > tol:
         raise NumericalError("closed-form boundary integrals disagree with quadrature")
@@ -239,6 +240,8 @@ def determination_experiment(
     tangent to the identity past the jet order leaves every disc fixed up to
     the scheme tolerance, which pins its value at the disc centers.
     """
+    if not 0 <= boundary_tol < math.inf:
+        raise ConfigError(f"boundary_tol = {boundary_tol} is not a finite number >= 0")
     model = r.model
     order = qfac.ell0 + 2
     if h_map.d != model.d:

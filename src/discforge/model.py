@@ -9,6 +9,10 @@ coefficients ``a[j] = conj(a[d-j])`` supported on ``d-k0 <= j <= k0`` and
 
 whose root split (inside / outside the unit circle) drives the kernel
 dimensions and jet bases downstream.
+
+Every polynomial in ``(z, conj z, Im w)``, the model's ``P`` included
+(``ModelPolynomial.mon``), is a monomial dict: ``d_z``, ``d_zbar`` and
+``d_u`` differentiate it exactly and ``eval_mon`` evaluates it pointwise.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ __all__ = [
     "check_subharmonic",
     "winding_number",
     "random_admissible_model",
+    "d_z",
+    "d_zbar",
+    "d_u",
+    "eval_mon",
 ]
 
 
@@ -38,6 +46,28 @@ __all__ = [
 # benchmarks use.  How far a disc of degree d can be resolved is checked
 # separately, against the truncation order (``RunConfig``).
 MAX_DEGREE = 64
+
+# trivariate monomial dictionaries: {(a, b, e): coeff} for z^a zbar^b u^e
+
+
+def d_z(mon: dict) -> dict:
+    return {(a - 1, b, e): a * c for (a, b, e), c in mon.items() if a >= 1}
+
+
+def d_zbar(mon: dict) -> dict:
+    return {(a, b - 1, e): b * c for (a, b, e), c in mon.items() if b >= 1}
+
+
+def d_u(mon: dict) -> dict:
+    return {(a, b, e - 1): e * c for (a, b, e), c in mon.items() if e >= 1}
+
+
+def eval_mon(mon: dict, z, zbar, u):
+    """Pointwise value of a trivariate monomial dict at ``(z, zbar, u)``."""
+    total = 0.0
+    for (a, b, e), c in mon.items():
+        total = total + c * z**a * zbar**b * u**e
+    return total
 
 
 @dataclass(frozen=True)
@@ -90,24 +120,10 @@ class ModelPolynomial:
     def gamma(self, j: int) -> complex:
         return j * (self.d - j) * self.alpha.get(j, 0.0)
 
-    # ---- pointwise evaluation (vectorized over z) ----------------------
-
-    def eval_Pz(self, z):
-        z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        return sum(j * a * z ** (j - 1) * zb ** (self.d - j) for j, a in self.alpha.items() if j >= 1)
-
-    def eval_Pzbar(self, z):
-        return np.conj(self.eval_Pz(z))
-
-    def eval_Pzzbar(self, z):
-        z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        return sum(
-            j * (self.d - j) * a * z ** (j - 1) * zb ** (self.d - j - 1)
-            for j, a in self.alpha.items()
-            if 1 <= j <= self.d - 1
-        )
+    @property
+    def mon(self) -> dict:
+        """``P`` as a trivariate monomial dict ``{(j, d - j, 0): a[j]}``."""
+        return {(j, self.d - j, 0): a for j, a in self.alpha.items()}
 
     # ---- serialization ---------------------------------------------------
 
@@ -135,22 +151,14 @@ class ModelPolynomial:
 
 
 def check_subharmonic(model: ModelPolynomial) -> float:
-    """Minimum of ``P_zzbar(z) / |z|^(d-2)`` over a polar grid of 64 radii and 256 angles.
+    """Minimum of ``P_zzbar`` over 256 equispaced angles of the unit circle.
 
-    By homogeneity the ratio depends only on the angle; the radial sweep is a
-    consistency check, not extra information.  A positive return value
-    certifies strict subharmonicity away from the origin.
+    Every monomial of ``P_zzbar`` has degree ``d - 2``, so ``P_zzbar(z) / |z|^(d-2)``
+    depends only on the angle.  A positive return value certifies strict
+    subharmonicity away from the origin.
     """
-    angles = np.exp(2j * np.pi * np.arange(256) / 256)
-    ratio_circle = model.eval_Pzzbar(angles).real
-    radii = np.linspace(1.0 / 64, 1.0, 64)
-    grid = np.outer(radii, angles)
-    ratio_grid = model.eval_Pzzbar(grid).real / np.abs(grid) ** (model.d - 2)
-    if np.max(np.abs(ratio_grid - ratio_circle[None, :])) > 1e-8 * max(
-        1.0, float(np.max(np.abs(ratio_circle)))
-    ):
-        raise NumericalError("homogeneity violated in curvature ratio (internal fault)")
-    return float(np.min(ratio_circle))
+    zeta = np.exp(2j * np.pi * np.arange(256) / 256)
+    return float(np.min(eval_mon(d_z(d_zbar(model.mon)), zeta, np.conj(zeta), 0.0).real))
 
 
 def compute_Q(model: ModelPolynomial) -> TrigSeries:

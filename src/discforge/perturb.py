@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, malformed, strict_keys
-from .model import ModelPolynomial
+from .model import ModelPolynomial, d_u, d_z, d_zbar, eval_mon
 from .series import MAX_ORDER, Powers, TrigSeries, multiply
 
 __all__ = [
@@ -44,31 +44,8 @@ __all__ = [
 
 MAX_POLY_DEGREE = 8
 
-# trivariate monomial dictionaries: {(a, b, e): coeff} for z^a zbar^b u^e
-
-
-def d_z(mon: dict) -> dict:
-    return {(a - 1, b, e): a * c for (a, b, e), c in mon.items() if a >= 1}
-
-
-def d_zbar(mon: dict) -> dict:
-    return {(a, b - 1, e): b * c for (a, b, e), c in mon.items() if b >= 1}
-
-
-def d_u(mon: dict) -> dict:
-    return {(a, b, e - 1): e * c for (a, b, e), c in mon.items() if e >= 1}
-
-
 def _scaled(mon: dict, factor: complex) -> dict:
     return {key: factor * c for key, c in mon.items()}
-
-
-def eval_mon(mon: dict, z, zbar, u):
-    """Pointwise value of a trivariate monomial dict at ``(z, zbar, u)``."""
-    total = 0.0
-    for (a, b, e), c in mon.items():
-        total = total + c * z**a * zbar**b * u**e
-    return total
 
 
 @dataclass(frozen=True)
@@ -167,8 +144,7 @@ class DefiningFunction:
     def big_r_mon(self) -> dict:
         """Model plus theta: everything except the ``-Re w`` part."""
         out = dict(self.theta_mon())
-        for j, a in self.model.alpha.items():
-            key = (j, self.model.d - j, 0)
+        for key, a in self.model.mon.items():
             out[key] = out.get(key, 0.0 + 0.0j) + a
         return out
 
@@ -232,25 +208,25 @@ class DefiningFunction:
 def dilate(r: DefiningFunction, t: float) -> DefiningFunction:
     """Exact coefficient form of ``t^-d * r o (t z, t^d w)``.
 
-    The model part is invariant; a stored polynomial coefficient of
-    ``z^m (Im w)^n`` in the ``(i, j, l)`` block picks up ``t^(l(d-1)+m+dn)``
-    (with ``l = 0`` reading as ``t^(m+1)``), and ``theta1``'s degree-c
-    coefficient picks up ``t^(dc-d)``.
+    A monomial of degree ``p`` in ``(z, conj z)`` and ``q`` in ``Im w`` picks
+    up ``t^(p + dq - d)``: a stored coefficient of ``z^m (Im w)^n`` in the
+    ``(i, j, l)`` block has ``p = i + j + m`` and ``q = l + n``, and
+    ``theta1``'s degree-c coefficient has ``p = 0`` and ``q = c``.  The model
+    part (``p = d``, ``q = 0``) is invariant.
     """
     if not (0 < t <= 1):
         raise ConfigError("dilation parameter must lie in (0, 1]")
     d = r.model.d
+
+    def factor(p: int, q: int) -> float:
+        return t ** (p + d * q - d)
+
     new_terms = []
     for term in r.terms:
-        scaled = {}
-        for (m, n), c in term.coeffs.items():
-            if term.l == 0:
-                expo = m + 1
-            else:
-                expo = term.l * (d - 1) + m + d * n
-            scaled[(m, n)] = c * t**expo
+        p0 = term.i + term.j
+        scaled = {(m, n): c * factor(p0 + m, term.l + n) for (m, n), c in term.coeffs.items()}
         new_terms.append(PerturbationTerm(term.i, term.j, term.l, scaled))
-    th1 = {deg: val * t ** (d * deg - d) for deg, val in r.theta1.items()}
+    th1 = {deg: val * factor(0, deg) for deg, val in r.theta1.items()}
     return DefiningFunction(r.model, tuple(new_terms), th1)
 
 

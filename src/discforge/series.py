@@ -84,12 +84,12 @@ class TrigSeries:
         return cls(arr)
 
     @classmethod
-    def geometric(cls, ratio: complex, n_max: int, scale: complex = 1.0) -> "TrigSeries":
-        """Truncated analytic geometric series ``scale * sum ratio^n zeta^n``."""
+    def geometric(cls, ratio: complex, n_max: int) -> "TrigSeries":
+        """Truncated analytic geometric series ``sum ratio^n zeta^n``."""
         if abs(ratio) >= 1.0:
             raise ValueError("geometric ratio must have modulus < 1")
         arr = np.zeros(2 * n_max + 1, dtype=complex)
-        arr[n_max:] = scale * ratio ** np.arange(n_max + 1)
+        arr[n_max:] = ratio ** np.arange(n_max + 1)
         return cls(arr)
 
     @classmethod
@@ -369,17 +369,17 @@ def hilbert_transform(a: TrigSeries) -> TrigSeries:
     return a.scale(1j) + TrigSeries.constant(1j * a.mean()) - a.szego_project().scale(2j)
 
 
-def analytic_from_real_part(p: TrigSeries, tol: float = 1e-9) -> TrigSeries:
+def analytic_from_real_part(p: TrigSeries) -> TrigSeries:
     """The unique analytic g with ``Re g = p`` on the circle and ``g(1) = 0``.
 
-    Requires ``p`` real-valued with ``p(1) = 0`` (to ``tol``); the recipe is
-    ``g[n] = 2 p[n]`` for ``n >= 1``, ``g[0] = p[0]``, then subtract ``g(1)``.
+    Requires ``p`` real-valued with ``p(1) = 0`` (to 1e-9 times ``max(1, max|p[n]|)``);
+    the recipe is ``g[n] = 2 p[n]`` for ``n >= 1``, ``g[0] = p[0]``, then subtract ``g(1)``.
     """
-    scalebound = max(1.0, float(np.max(np.abs(p.coeffs))))
-    if not p.is_real(tol * scalebound):
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(p.coeffs))))
+    if not p.is_real(tol):
         raise ValueError("real part data must be a real-valued series")
     at_one = complex(np.sum(p.coeffs))
-    if abs(at_one) > tol * scalebound:
+    if abs(at_one) > tol:
         raise ValueError("real part data must vanish at zeta = 1")
     k = p.n_max
     arr = np.zeros(2 * k + 1, dtype=complex)

@@ -42,8 +42,8 @@ import numpy as np
 
 from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual, weight_series
 from .exceptions import ConfigError, NumericalError, malformed, strict_keys
-from .model import QFactorization
-from .perturb import DefiningFunction, d_u, x_norm_distance
+from .model import QFactorization, d_u
+from .perturb import DefiningFunction, x_norm_distance
 from .series import (
     ONE_MINUS,
     Powers,

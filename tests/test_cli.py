@@ -145,6 +145,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for k, (command, config) in enumerate(malformed):
         rc, _ = _run(tmp_path, command, config, name=f"m{k}.json")
         assert rc == 2, (command, config)
+    # a bad determine parameter is refused before the experiment runs, by name;
+    # it is never reported as a map that breaks the hypotheses
+    bad_params = [
+        ("boundary_tol", -1), ("boundary_tol", "nan"), ("boundary_tol", "inf"), ("boundary_tol", "-inf"),
+        ("t", 0), ("t", -0.5), ("t", 1.5), ("t", "nan"), ("t", "inf"),
+        ("b_values", [[0.5, 0]]), ("b_values", [[0.1, 0], [0.3, -0.4]]), ("b_values", [["nan", 0]]),
+    ]
+    for k, (key, value) in enumerate(bad_params):
+        capsys.readouterr()
+        rc, out = _run(tmp_path, "determine", z4({"map": identity, "t": 0.5, key: value}), name=f"p{k}.json")
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists(), (key, value)
+        assert f"params.{key}" in err and "[hypothesis]" not in err, (key, value, err)
     # a map that blows up on the zero set fails the hypothesis gate, not the
     # composed disc's pin check
     capsys.readouterr()

@@ -260,6 +260,17 @@ def test_determination_hypothesis_checks():
         determination_experiment(r, mismatched, qfac, SolverOptions(n_max=32), t=0.125)
 
 
+def test_determination_refuses_a_bad_boundary_tol():
+    # a tolerance that is negative, NaN or infinite is bad input, not a map
+    # that moves the zero set
+    r = _pure_quartic()
+    qfac = factor_Q(r.model)
+    identity = BiholoMap.identity(4)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^boundary_tol"):
+            determination_experiment(r, identity, qfac, SolverOptions(n_max=32), t=0.5, boundary_tol=tol)
+
+
 def test_determination_auto_scale():
     r = _pure_quartic()
     qfac = factor_Q(r.model)

@@ -10,6 +10,9 @@ from discforge.model import (
     ModelPolynomial,
     check_subharmonic,
     compute_Q,
+    d_z,
+    d_zbar,
+    eval_mon,
     factor_Q,
     random_admissible_model,
     winding_number,
@@ -41,9 +44,22 @@ def test_constructor_validation():
         ModelPolynomial(4, 3, {3: 0.25})  # missing mirror coefficient
 
 
+def _p_zzbar(model, z):
+    z = np.asarray(z, dtype=complex)
+    return eval_mon(d_z(d_zbar(model.mon)), z, np.conj(z), 0.0)
+
+
+def _random_models(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.choice([2, 4, 6, 8]))
+        k0 = int(rng.integers(d // 2, d))
+        yield random_admissible_model(rng, d, k0)
+
+
 def test_curvature_frozen_value():
     m = _model_d4k3()
-    assert m.eval_Pzzbar(1.0).real == pytest.approx(5.5, abs=1e-14)
+    assert _p_zzbar(m, 1.0).real == pytest.approx(5.5, abs=1e-14)
     # gamma values: 3/4, 4, 3/4
     assert m.gamma(1) == pytest.approx(0.75)
     assert m.gamma(2) == pytest.approx(4.0)
@@ -56,6 +72,38 @@ def test_subharmonic_margins():
     assert check_subharmonic(_model_d4k3()) == pytest.approx(2.5, abs=1e-10)
     bad = ModelPolynomial.from_upper(4, 3, {3: 1.0, 2: 0.1})
     assert check_subharmonic(bad) < 0.0
+
+
+def test_curvature_is_homogeneous_of_degree_d_minus_2():
+    # check_subharmonic reads P_zzbar on the unit circle only; every other
+    # radius must give r^(d-2) times the same values
+    angles = np.exp(2j * np.pi * np.arange(256) / 256)
+    radii = np.linspace(1.0 / 64, 1.0, 64)
+    for m in _random_models(7, 24):
+        circle = _p_zzbar(m, angles).real
+        scale = float(np.max(np.abs(circle)))
+        assert check_subharmonic(m) == float(np.min(circle))
+        for r in radii:
+            ratio = _p_zzbar(m, r * angles).real / r ** (m.d - 2)
+            assert np.max(np.abs(ratio - circle)) <= 1e-12 * scale, (m.d, m.k0, r)
+
+
+def test_monomial_derivatives_match_the_closed_forms():
+    # P_z = sum j a[j] z^(j-1) zbar^(d-j) and P_zzbar = sum j (d-j) a[j] z^(j-1) zbar^(d-j-1)
+    rng = np.random.default_rng(11)
+    for m in _random_models(5, 24):
+        z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        zb = np.conj(z)
+        d = m.d
+        p_z = sum(j * a * z ** (j - 1) * zb ** (d - j) for j, a in m.alpha.items() if j >= 1)
+        p_zzbar = sum(
+            j * (d - j) * a * z ** (j - 1) * zb ** (d - j - 1) for j, a in m.alpha.items() if 1 <= j <= d - 1
+        )
+        got_z = eval_mon(d_z(m.mon), z, zb, 0.0)
+        scale = np.abs(z) ** (d - 1) * sum(abs(a) for a in m.alpha.values()) * d
+        assert np.max(np.abs(got_z - p_z) / scale) <= 1e-13
+        scale = scale * d / np.abs(z)
+        assert np.max(np.abs(_p_zzbar(m, z) - p_zzbar) / scale) <= 1e-13
 
 
 def test_compute_Q_frozen_cases():

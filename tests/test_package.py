@@ -22,3 +22,12 @@ def test_traced_entry_points_keep_their_names():
         mod = importlib.import_module(f"discforge.{layer}")
         assert name in mod.__all__ and callable(getattr(mod, name)), key
     assert callable(importlib.import_module("discforge.solver")._linearize)
+
+
+def test_perturb_keeps_exporting_the_monomial_helpers():
+    # they live in discforge.model; discforge.perturb re-exports the same objects
+    model = importlib.import_module("discforge.model")
+    perturb = importlib.import_module("discforge.perturb")
+    for name in ("d_z", "d_zbar", "d_u", "eval_mon"):
+        assert name in model.__all__ and name in perturb.__all__, name
+        assert getattr(perturb, name) is getattr(model, name), name
