@@ -1,13 +1,12 @@
 """discforge: stationary holomorphic discs attached to model hypersurfaces.
 
 The package provides a circle-spectral toolkit (two-sided trigonometric
-series, projections, Hilbert transform), even-degree model hypersurface
-polynomials with their subharmonicity and root analysis, polynomial
-perturbations of the defining function with anisotropic dilations, the
-explicit family of small stationary discs, the boundary stationarity
-operator with its linearization / kernel machinery and a damped
-Gauss-Newton solver, and boundary-jet analysis culminating in a jet
-determination experiment.
+series and their projections), even-degree model hypersurface polynomials
+with their subharmonicity and root analysis, polynomial perturbations of
+the defining function with anisotropic dilations, the explicit family of
+small stationary discs, the boundary stationarity operator with its
+linearization / kernel machinery and a damped Gauss-Newton solver, and
+boundary-jet analysis culminating in a jet determination experiment.
 """
 
 from __future__ import annotations

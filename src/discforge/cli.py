@@ -149,12 +149,8 @@ class RunConfig:
 
 
 def _series_modes(series) -> list[list[float]]:
-    out = []
-    for n in range(-series.n_max, series.n_max + 1):
-        v = series.coeff(n)
-        if v != 0:
-            out.append([n, float(v.real), float(v.imag)])
-    return out
+    idx = np.flatnonzero(series.coeffs)
+    return [[int(i) - series.n_max, float(v.real), float(v.imag)] for i, v in zip(idx, series.coeffs[idx])]
 
 
 # ---- subcommands ---------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError, malformed, strict_keys
-from .model import ModelPolynomial, eval_mon
+from .model import ModelPolynomial
 from .perturb import DefiningFunction
 from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part
 
@@ -31,7 +31,6 @@ __all__ = [
     "mobius_a",
     "model_disc",
     "stationarity_residual",
-    "cauchy_center",
     "boundary_powers",
     "substitute_boundary",
     "weight_series",
@@ -104,7 +103,7 @@ class LiftedDisc:
             raise ConfigError("disc weight c must be real on the circle")
         if not h.is_analytic(PIN_TOL) or not g.is_analytic(PIN_TOL):
             raise ConfigError("disc components h, g must be analytic")
-        if abs(h.evaluate(1.0)) > PIN_TOL or abs(g.evaluate(1.0)) > PIN_TOL:
+        if abs(h.value_at_one()) > PIN_TOL or abs(g.value_at_one()) > PIN_TOL:
             raise ConfigError("disc components must vanish at zeta = 1")
         samples = c.sample(max(4 * c.n_max + 4, 64)).real
         if samples.min() <= 1e-10:
@@ -123,14 +122,21 @@ class LiftedDisc:
             return cls(*(TrigSeries.from_dict(data[key]) for key in "chg"))
 
     def boundary_samples(self, num: int) -> np.ndarray:
-        """Structured boundary trace on ``num`` equispaced angles."""
-        angles = 2.0 * np.pi * np.arange(num) / num
-        pts = np.exp(1j * angles)
+        """Structured boundary trace on ``num`` equispaced angles.
+
+        Each component is sampled on the smallest multiple of ``num`` points
+        that resolves its modes, and every ``step``-th value is kept.
+        """
+
+        def trace(series: TrigSeries) -> np.ndarray:
+            step = math.ceil((2 * series.n_max + 1) / num)
+            return series.sample(num * step)[::step]
+
         out = np.zeros(num, dtype=[("angle", float), ("c", float), ("h", complex), ("g", complex)])
-        out["angle"] = angles
-        out["c"] = self.c.evaluate(pts).real
-        out["h"] = self.h.evaluate(pts)
-        out["g"] = self.g.evaluate(pts)
+        out["angle"] = 2.0 * np.pi * np.arange(num) / num
+        out["c"] = trace(self.c).real
+        out["h"] = trace(self.h)
+        out["g"] = trace(self.g)
         return out
 
 
@@ -152,7 +158,7 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     v = params.v * np.exp(1j * params.theta)
     geo = TrigSeries.geometric(ratio, n_max) if ratio != 0 else TrigSeries.constant(1.0)
     h = (geo * ONE_MINUS).truncate(n_max) * v
-    h = h + TrigSeries.constant(-h.evaluate(1.0))
+    h = h + TrigSeries.constant(-h.value_at_one())
     c = weight_series(params.b, model.k0)
 
     ph = Powers(h)
@@ -162,7 +168,7 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     if not np.isfinite(p.coeffs).all():
         raise NumericalError(f"model disc overflows: P(h, conj h) is not finite at |v| = {abs(params.v):.3e}")
     g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs))
-    g = g + TrigSeries.constant(-g.evaluate(1.0))
+    g = g + TrigSeries.constant(-g.value_at_one())
     return LiftedDisc(c, h, g)
 
 
@@ -210,22 +216,3 @@ def stationarity_residual(
     res2 = weighted_w.negative_project().sup_norm()
     res3 = (big_r - (disc.g + disc.g.conjugate()) * 0.5).sup_norm()
     return res1, res2, res3
-
-
-def cauchy_center(disc: LiftedDisc, defn: DefiningFunction) -> complex:
-    """Recover ``g(0)`` from the boundary data via a Cauchy-type integral.
-
-    Uses ``g(0) = (1/pi) integral p / (1 - zeta) dtheta`` where ``p`` is the
-    boundary trace of the non-harmonic part of the defining function along
-    the disc; valid because ``Re g = p`` on the boundary and ``g(1) = 0``.
-    The grid is midpoint-shifted so the removable point ``zeta = 1`` is never
-    sampled.
-    """
-    num = max(1024, 8 * max(disc.h.n_max, disc.g.n_max) + 8)
-    angles = 2.0 * np.pi * (np.arange(num) + 0.5) / num
-    pts = np.exp(1j * angles)
-    hv = disc.h.evaluate(pts)
-    gv = disc.g.evaluate(pts)
-    p = eval_mon(defn.big_r_mon(), hv, np.conj(hv), gv.imag)
-    integrand = p / (1.0 - pts)
-    return complex(np.sum(integrand) * (2.0 / num))

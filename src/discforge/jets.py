@@ -43,10 +43,23 @@ __all__ = [
 
 
 def jet_map(h: TrigSeries, n: int) -> np.ndarray:
-    """The vector of the first ``n`` derivatives of ``h`` at 1."""
+    """The vector of the first ``n`` derivatives of ``h`` at 1.
+
+    ``h`` must be analytic.  Order ``j`` is ``sum_m c[m] m (m-1) ... (m-j+1)``
+    over the modes ``m >= j``, summed in mode order from 0.
+    """
     if n < 1:
         raise ConfigError("jet order must be >= 1")
-    return np.array([h.derivative_at(1.0, order) for order in range(1, n + 1)])
+    if not h.is_analytic(1e-13 * max(1.0, float(np.max(np.abs(h.coeffs))))):
+        raise ValueError("jet_map requires an analytic series")
+    coeffs = h.coeffs[h.n_max :]
+    modes = np.arange(coeffs.size)
+    fall = np.ones(coeffs.size)
+    out = np.empty(n, dtype=complex)
+    for order in range(1, n + 1):
+        fall *= modes - order + 1
+        out[order - 1] = np.add.accumulate(np.concatenate(([0j], coeffs[order:] * fall[order:])))[-1]
+    return out
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,7 @@ def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
     """
     h, g = disc.h, disc.g
     if math.isfinite(h_map.domain_radius):
-        bound = max(float(np.max(np.abs(s.sample(512)))) for s in (h, g))
+        bound = max(h.sup_norm(), g.sup_norm())
         if bound > h_map.domain_radius:
             raise ConfigError("disc leaves the domain of the map")
     order = max((j * h.n_max + l * g.n_max for j, l in {**h_map.h1, **h_map.h2}), default=0)

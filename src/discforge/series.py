@@ -18,7 +18,6 @@ __all__ = [
     "TrigSeries",
     "from_samples",
     "multiply",
-    "hilbert_transform",
     "analytic_from_real_part",
     "divide_one_minus_zeta",
     "coeff_distance",
@@ -26,8 +25,6 @@ __all__ = [
 
 # Hard cap on truncation order; anything larger is a bug upstream.
 MAX_ORDER = 1 << 16
-
-_CIRCLE_TOL = 1e-12
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -184,53 +181,29 @@ class TrigSeries:
 
     # ---- projections ----------------------------------------------------
 
-    def szego_project(self) -> "TrigSeries":
-        """Keep modes ``n >= 0`` (boundary values of the analytic part)."""
-        arr = self.coeffs.copy()
-        arr[: self.n_max] = 0.0
-        return TrigSeries(arr)
-
     def negative_project(self) -> "TrigSeries":
-        """Keep modes ``n < 0``; complements :meth:`szego_project` exactly."""
+        """Keep modes ``n < 0``."""
         arr = self.coeffs.copy()
         arr[self.n_max :] = 0.0
         return TrigSeries(arr)
 
-    def mean(self) -> complex:
-        """Average over the circle, i.e. the ``n = 0`` coefficient."""
-        return self.coeff(0)
-
     # ---- evaluation -------------------------------------------------------
 
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate at points on the unit circle (|zeta| = 1 to 1e-12)."""
-        pts = np.asarray(points, dtype=complex)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        if np.max(np.abs(np.abs(pts) - 1.0)) > _CIRCLE_TOL:
-            raise ValueError("evaluation points must lie on the unit circle")
+    def value_at_one(self) -> complex:
+        """The value at the pinned point ``zeta = 1``.
+
+        Two sequential folds from 0, the positive modes from the top down and
+        the negative modes from the bottom up, added to the mode-0
+        coefficient: at 1 every Horner product is exact, so this is Horner's
+        value to the bit (for finite coefficients).
+        """
         k = self.n_max
-        if k > 0 and np.all(pts == 1.0):
-            # At zeta = 1 every Horner product is exact, so two sequential
-            # folds add the same terms in the same order: the same value to
-            # the bit (for finite coefficients), without a loop over modes.
-            c = self.coeffs
-            pos = np.add.accumulate(np.concatenate(([0j], c[:k:-1])))[-1]
-            neg = np.add.accumulate(np.concatenate(([0j], c[:k])))[-1]
-            out = np.full(pts.shape, c[k] + pos + neg)
-            return out[0] if scalar else out
-        out = np.full(pts.shape, self.coeffs[k], dtype=complex)
-        # Horner in zeta for positive modes, in conj(zeta) for negative ones.
-        if k > 0:
-            pos = np.zeros_like(pts)
-            for n in range(k, 0, -1):
-                pos = (pos + self.coeffs[k + n]) * pts
-            neg = np.zeros_like(pts)
-            cbar = np.conj(pts)
-            for n in range(k, 0, -1):
-                neg = (neg + self.coeffs[k - n]) * cbar
-            out = out + pos + neg
-        return out[0] if scalar else out
+        c = self.coeffs
+        if k == 0:
+            return c[0]
+        pos = np.add.accumulate(np.concatenate(([0j], c[:k:-1])))[-1]
+        neg = np.add.accumulate(np.concatenate(([0j], c[:k])))[-1]
+        return c[k] + pos + neg
 
     def sample(self, num: int) -> np.ndarray:
         """Values at the ``num``-th roots of unity via an aliasing-free FFT."""
@@ -252,25 +225,6 @@ class TrigSeries:
         q = max(1, int(np.ceil(0.75 * k)))
         tail = np.concatenate([self.coeffs[: k - q + 1], self.coeffs[k + q :]])
         return float(np.max(np.abs(tail)))
-
-    def derivative_at(self, at: complex, order: int = 1) -> complex:
-        """``order``-th derivative of the analytic extension at ``at``.
-
-        Only valid for analytic series (no negative modes); the extension is
-        the polynomial ``sum_{n>=0} c[n] z^n``.
-        """
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        if not self.is_analytic(1e-13 * max(1.0, float(np.max(np.abs(self.coeffs))))):
-            raise ValueError("derivative_at requires an analytic series")
-        k = self.n_max
-        total = 0.0 + 0.0j
-        for n in range(order, k + 1):
-            fall = 1.0
-            for i in range(order):
-                fall *= n - i
-            total += self.coeffs[k + n] * fall * at ** (n - order)
-        return complex(total)
 
     # ---- serialization -----------------------------------------------------
 
@@ -358,15 +312,6 @@ def from_samples(values, n_max: int) -> tuple[TrigSeries, float]:
     # complex abs can differ from it in the last bit
     tail = float(np.max(np.hypot(aliased.real, aliased.imag))) if aliased.size else 0.0
     return TrigSeries(spec[kept]), tail
-
-
-def hilbert_transform(a: TrigSeries) -> TrigSeries:
-    """Boundary conjugation operator, normalized to kill constants.
-
-    ``T(a) = i*a + i*mean(a) - 2i*szego_project(a)``; maps real series to
-    real series, cos to sin and sin to -cos.
-    """
-    return a.scale(1j) + TrigSeries.constant(1j * a.mean()) - a.szego_project().scale(2j)
 
 
 def analytic_from_real_part(p: TrigSeries) -> TrigSeries:

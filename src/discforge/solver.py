@@ -77,9 +77,6 @@ class OperatorValue:
     t2: TrigSeries
     t3: TrigSeries
 
-    def sup_norms(self) -> tuple[float, float, float]:
-        return self.t1.sup_norm(), self.t2.sup_norm(), self.t3.sup_norm()
-
 
 # Largest accepted truncation order N.  Substitutions along a disc of order N
 # build series of order up to d (N + 2), which a run config keeps within

@@ -4,7 +4,6 @@ import pytest
 from discforge.discs import (
     LiftedDisc,
     ModelDiscParams,
-    cauchy_center,
     mobius_a,
     model_disc,
     boundary_powers,
@@ -86,6 +85,24 @@ def test_model_disc_theta_rotates_v():
     np.testing.assert_allclose(rot.h.coeffs, base.h.coeffs, atol=1e-14)
 
 
+def cauchy_center(disc: LiftedDisc, defn: DefiningFunction) -> complex:
+    """Recover ``g(0)`` from the boundary data via a Cauchy-type integral.
+
+    Uses ``g(0) = (1/pi) integral p / (1 - zeta) dtheta`` where ``p`` is the
+    boundary trace of the non-harmonic part of the defining function along
+    the disc; valid because ``Re g = p`` on the boundary and ``g(1) = 0``.
+    The grid is midpoint-shifted (the odd points of a grid twice as fine) so
+    the removable point ``zeta = 1`` is never sampled.
+    """
+    num = max(1024, 8 * max(disc.h.n_max, disc.g.n_max) + 8)
+    pts = np.exp(2j * np.pi * (np.arange(num) + 0.5) / num)
+    hv = disc.h.sample(2 * num)[1::2]
+    gv = disc.g.sample(2 * num)[1::2]
+    p = eval_mon(defn.big_r_mon(), hv, np.conj(hv), gv.imag)
+    integrand = p / (1.0 - pts)
+    return complex(np.sum(integrand) * (2.0 / num))
+
+
 def test_cauchy_center_frozen():
     disc = model_disc(_abs_power(4), ModelDiscParams(0.0, 1.0), n_max=32)
     r = DefiningFunction.pure(_abs_power(4))
@@ -131,8 +148,8 @@ def test_model_disc_pins_g_exactly_for_a_large_d8_disc():
     model = ModelPolynomial.from_upper(8, 7, alpha)
     for b, n_max in ((0.2, 64), (0.07166156420279335 - 0.16718905079062776j, 128)):
         disc = model_disc(model, ModelDiscParams(b, 1.0), n_max=n_max)
-        assert disc.h.evaluate(1.0) == 0.0
-        assert disc.g.evaluate(1.0) == 0.0
+        assert disc.h.value_at_one() == 0.0
+        assert disc.g.value_at_one() == 0.0
         assert max(stationarity_residual(disc, DefiningFunction.pure(model))) < 1e-9
 
 
@@ -184,8 +201,11 @@ def test_disc_round_trip_and_samples():
     np.testing.assert_allclose(back.g.coeffs, disc.g.coeffs, atol=0)
     rows = disc.boundary_samples(16)
     assert rows.shape == (16,)
+    # the closed form v (1 - zeta) / (1 - conj(a) zeta); truncation at N = 24
+    # leaves |a|^24 < 1e-16
     pts = np.exp(1j * rows["angle"])
-    np.testing.assert_allclose(rows["h"], disc.h.evaluate(pts), atol=1e-14)
+    want = (1 - pts) / (1 - np.conj(mobius_a(0.2j)) * pts)
+    np.testing.assert_allclose(rows["h"], want, atol=1e-14)
     with pytest.raises(ConfigError):
         LiftedDisc.from_dict({"c": disc.c.to_dict()})
 

@@ -43,10 +43,35 @@ def test_jet_map_leibniz_identity():
     coeffs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     u = TrigSeries.from_mode_dict({n: c for n, c in enumerate(coeffs)})
     v = multiply(_OM, u)
+    v_jets = jet_map(v, 5)
+    u_jets = np.concatenate(([u.value_at_one()], jet_map(u, 4)))
     for n in range(1, 6):
-        lhs = v.derivative_at(1.0, n)
-        rhs = -n * u.derivative_at(1.0, n - 1)
+        lhs = v_jets[n - 1]
+        rhs = -n * u_jets[n - 1]
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+
+
+def _derivative_at_one(h, order):
+    """The mode-by-mode loop for one derivative at 1, the oracle for ``jet_map``."""
+    k = h.n_max
+    total = 0.0 + 0.0j
+    for n in range(order, k + 1):
+        fall = 1.0
+        for i in range(order):
+            fall *= n - i
+        total += h.coeffs[k + n] * fall * 1.0 ** (n - order)
+    return complex(total)
+
+
+def test_jet_map_matches_the_mode_loop_to_the_bit():
+    rng = np.random.default_rng(47)
+    for k in [0, 1, 2, 1500] + [int(k) for k in rng.integers(0, 1501, 40)]:
+        size = k + 1
+        modes = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-8, 6, size)
+        h = TrigSeries(np.concatenate([np.zeros(k), modes]))
+        got = jet_map(h, 6)
+        want = np.array([_derivative_at_one(h, order) for order in range(1, 7)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), k
 
 
 def test_jet_matrix_quartic_frozen():
@@ -197,9 +222,11 @@ def test_surjectivity_gap_is_trig_polynomial():
     values = np.array([surjectivity_gap(model, float(a)) for a in angles], dtype=complex)
     series, tail = from_samples(values, 2 * (2 * model.k0 - model.d) + 2)
     assert tail < 1e-9
-    for theta in (0.123, 1.234, 4.0):
-        direct = surjectivity_gap(model, theta)
-        assert abs(series.evaluate(np.exp(1j * theta)).real - direct) < 1e-8
+    # off the fitting grid: the angles 2 pi j / 640 with j not a multiple of 10
+    fine = series.sample(640)
+    for j in (13, 131, 407):
+        direct = surjectivity_gap(model, 2 * np.pi * j / 640)
+        assert abs(fine[j].real - direct) < 1e-8
 
 
 def _pure_quartic():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discforge.discs import ModelDiscParams, model_disc
 from discforge.exceptions import ConfigError
 from discforge.model import ModelPolynomial
 from discforge.perturb import (
@@ -242,6 +243,15 @@ def test_compose_disc():
     tight = BiholoMap(4, {(1, 0): 1.0}, {(0, 1): 1.0}, domain_radius=0.5)
     with pytest.raises(ConfigError):
         compose_disc(tight, disc)
+
+
+def test_compose_disc_checks_the_domain_of_a_large_disc():
+    # N = 300 needs more than 512 circle samples to resolve every mode
+    disc = model_disc(_abs4(), ModelDiscParams(0.1, 0.5), n_max=300)
+    wide = BiholoMap(4, {(1, 0): 1.0}, {(0, 1): 1.0}, domain_radius=5.0)
+    h_new, g_new = compose_disc(wide, disc)
+    assert coeff_distance(h_new, disc.h.trimmed()) == 0.0
+    assert coeff_distance(g_new, disc.g.trimmed()) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

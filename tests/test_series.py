@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discforge.discs import ModelDiscParams, model_disc
+from discforge.jets import jet_map
+from discforge.model import ModelPolynomial
 from discforge.series import (
     ONE_MINUS,
     TrigSeries,
@@ -14,7 +17,6 @@ from discforge.series import (
     coeff_distance,
     divide_one_minus_zeta,
     from_samples,
-    hilbert_transform,
     multiply,
 )
 
@@ -33,13 +35,7 @@ def _random_series(rng, n_max, real=False):
 def test_evaluate_frozen_value():
     # conj(zeta) + 2 + zeta at zeta = i gives -i + 2 + i = 2
     s = TrigSeries(np.array([1.0, 2.0, 1.0], dtype=complex))
-    assert s.evaluate(1j) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_evaluate_rejects_off_circle_points():
-    s = TrigSeries.monomial(1)
-    with pytest.raises(ValueError):
-        s.evaluate(0.5)
+    assert s.sample(4)[1] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_from_samples_squared_distance_symbol():
@@ -69,43 +65,28 @@ def test_from_samples_requires_power_of_two():
         from_samples(np.ones(8), 4)  # needs >= 2N+2 = 10
 
 
-def test_hilbert_transform_frozen_triple():
-    cos = TrigSeries(np.array([0.5, 0.0, 0.5], dtype=complex))
-    sin = TrigSeries(np.array([0.5j, 0.0, -0.5j], dtype=complex))
-    one = TrigSeries.constant(1.0)
-    assert coeff_distance(hilbert_transform(cos), sin) < 1e-15
-    assert coeff_distance(hilbert_transform(sin), -cos) < 1e-15
-    assert coeff_distance(hilbert_transform(one), TrigSeries.zero()) < 1e-15
-
-
-def test_hilbert_transform_is_anti_involution_off_means():
-    rng = np.random.default_rng(3)
-    a = _random_series(rng, 6, real=True)
-    twice = hilbert_transform(hilbert_transform(a))
-    expected = -(a - TrigSeries.constant(a.mean()))
-    assert coeff_distance(twice, expected) < 1e-14
-
-
 def test_projections_split_identity_exactly():
     rng = np.random.default_rng(5)
     a = _random_series(rng, 9)
-    back = a.szego_project() + a.negative_project()
-    assert coeff_distance(back, a) == 0.0
-    assert coeff_distance(a.szego_project().szego_project(), a.szego_project()) == 0.0
-    assert a.szego_project().negative_project().sup_norm() == 0.0
+    neg = a.negative_project()
+    assert np.array_equal(neg.coeffs[:9], a.coeffs[:9]) and np.all(neg.coeffs[9:] == 0.0)
+    assert coeff_distance(neg.negative_project(), neg) == 0.0
+    assert coeff_distance((a - neg) + neg, a) == 0.0
+    assert (a - neg).negative_project().sup_norm() == 0.0
 
 
 def test_derivative_at_frozen_value():
     # (1 - zeta)^2 = 1 - 2 zeta + zeta^2, second derivative is 2 everywhere
     s = TrigSeries.from_mode_dict({0: 1.0, 1: -2.0, 2: 1.0})
-    assert s.derivative_at(1.0, order=2) == pytest.approx(2.0, abs=1e-14)
-    assert s.derivative_at(1.0, order=1) == pytest.approx(0.0, abs=1e-14)
+    first, second = jet_map(s, 2)
+    assert second == pytest.approx(2.0, abs=1e-14)
+    assert first == pytest.approx(0.0, abs=1e-14)
 
 
 def test_derivative_rejects_non_analytic():
     s = TrigSeries.monomial(-1)
     with pytest.raises(ValueError):
-        s.derivative_at(1.0)
+        jet_map(s, 1)
 
 
 def test_sup_norm_frozen_value():
@@ -127,8 +108,7 @@ def test_multiply_matches_pointwise_product():
     a = _random_series(rng, 5)
     b = _random_series(rng, 7)
     prod = multiply(a, b)
-    z = _circle(64)
-    assert np.max(np.abs(prod.evaluate(z) - a.evaluate(z) * b.evaluate(z))) < 1e-12
+    assert np.max(np.abs(prod.sample(64) - a.sample(64) * b.sample(64))) < 1e-12
 
 
 def _on_modes(rng, n_max, modes):
@@ -170,8 +150,8 @@ def test_multiply_is_exact_on_the_nonzero_carriers(case):
 
 
 def _horner(coeffs, points):
-    """The mode-by-mode Horner loop ``TrigSeries.evaluate`` ran before the
-    ``zeta = 1`` fold, kept as the oracle for it."""
+    """Mode-by-mode Horner evaluation at circle points, the oracle for
+    ``TrigSeries.value_at_one`` and ``LiftedDisc.boundary_samples``."""
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     k = (coeffs.size - 1) // 2
     out = np.full(pts.shape, coeffs[k], dtype=complex)
@@ -211,24 +191,30 @@ def test_evaluate_at_one_matches_horner_to_the_bit():
     for k in orders:
         s = _wide_range_series(rng, k)
         expected = _bits(_horner(s.coeffs, 1.0))
-        assert np.array_equal(_bits(s.evaluate(1.0)), expected), k
-        assert np.array_equal(_bits(s.evaluate(np.ones(3))), np.tile(expected, 3)), k
+        assert np.array_equal(_bits(s.value_at_one()), expected), k
 
 
 def test_evaluate_off_one_is_unchanged():
-    rng = np.random.default_rng(43)
-    mixed = np.array([1.0, 1j, -1.0, np.exp(0.3j), 1.0])
-    for k in (0, 1, 7, 150):
-        s = _wide_range_series(rng, k)
-        assert np.array_equal(_bits(s.evaluate(1j)), _bits(_horner(s.coeffs, 1j)))
-        assert np.array_equal(_bits(s.evaluate(mixed)), _bits(_horner(s.coeffs, mixed)))
+    # the sampled boundary trace agrees with Horner to rounding, both when
+    # every component is resolved by ``num`` points (stride 1) and when it
+    # has to be sampled finer and strided (N >= num)
+    model = ModelPolynomial.from_upper(4, 3, {2: 1.0, 3: 0.25})
+    disc = model_disc(model, ModelDiscParams(0.2 - 0.1j, 0.8 + 0.3j), n_max=48)
+    for num in (8, 200):
+        rows = disc.boundary_samples(num)
+        pts = np.exp(1j * rows["angle"])
+        for key in "chg":
+            want = _horner(getattr(disc, key).coeffs, pts)
+            if key == "c":
+                want = want.real
+            bound = 2e-15 * max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(rows[key] - want)) <= bound, (num, key)
 
 
 def test_conjugate_matches_pointwise_and_involutes():
     rng = np.random.default_rng(13)
     a = _random_series(rng, 6)
-    z = _circle(32)
-    assert np.max(np.abs(a.conjugate().evaluate(z) - np.conj(a.evaluate(z)))) < 1e-13
+    assert np.max(np.abs(a.conjugate().sample(32) - np.conj(a.sample(32)))) < 1e-13
     assert coeff_distance(a.conjugate().conjugate(), a) == 0.0
 
 
@@ -236,7 +222,7 @@ def test_real_symmetrized_is_enforced_exactly():
     rng = np.random.default_rng(17)
     a = _random_series(rng, 4, real=True)
     assert a.is_real(0.0)
-    assert np.max(np.abs(a.evaluate(_circle(32)).imag)) < 1e-13
+    assert np.max(np.abs(a.sample(32).imag)) < 1e-13
 
 
 def test_divide_one_minus_zeta_inverts_multiplication():
