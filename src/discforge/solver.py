@@ -640,25 +640,96 @@ def _eliminate_g(
     return mat, vec, (_g_pinv(a_top, n_in), _g_pinv(f_top, n_in))
 
 
+def _upper_inverse(t: np.ndarray) -> np.ndarray:
+    """The inverse of the upper-triangular ``t``, by 2 x 2 block recursion into matrix products."""
+    h = len(t) // 2
+    if h <= 32:
+        return np.linalg.inv(t)
+    a, d = _upper_inverse(t[:h, :h]), _upper_inverse(t[h:, h:])
+    return np.block([[a, -a @ (t[:h, h:] @ d)], [np.zeros((len(t) - h, h)), d]])
+
+
+def _null_block(r: np.ndarray, rcond: float, block: int) -> np.ndarray | None:
+    """Orthonormal right singular vectors of the square ``r`` at ``sigma <= mu = rcond sigma_max``, or ``None``.
+
+    Inverse iteration on ``r^T r + mu^2 I`` brings every null direction near
+    ``1 / mu^2``, however small its sigma, and a kept one at ``sigma >= 2 mu``
+    to at most a fifth of that.  ``None`` where the block cannot certify its
+    answer: a failed or non-finite factorization, sweeps that do not settle, a
+    block null throughout, or a Ritz value within a factor 2 of the cut.
+    """
+    v, s2 = r.T @ r[:, np.argmax(np.einsum("ij,ij->j", r, r))], 0.0
+    for _ in range(100):  # power iteration, until sigma_max^2 gains under 1e-3 of itself
+        w = r @ (v / math.sqrt(v @ v))
+        last, s2 = s2, w @ w
+        if not s2 - last > 1e-3 * s2:
+            break
+        v = r.T @ w
+    if not 0.0 < s2 < math.inf:
+        return None
+    cut = rcond * math.sqrt(s2)
+    try:
+        inv = _upper_inverse(np.linalg.qr(np.vstack([r, cut * np.eye(len(r))]), mode="r"))
+        # a fixed pseudo-random start: a sine hash, since importing numpy.random adds ~13 ms to a cold run
+        start = np.sin(np.arange(1.0, len(r) * block + 1).reshape(len(r), block) * 12.9898) * 43758.5453 % 1.0
+        w, last = inv @ (inv.T @ (start - 0.5)), math.inf
+        for _ in range(8):  # sweeps, until the null pairs' worst relative residual stops halving
+            z = np.linalg.qr(w)[0]
+            y = inv.T @ z
+            w = inv @ y
+            lam, vec = np.linalg.eigh(y.T @ y)
+            ritz = z @ vec
+            theta, resid = (np.sqrt(np.einsum("ij,ij->j", a, a)) for a in (r @ ritz, w @ vec - ritz * lam))
+            null = theta <= cut
+            worst = (resid / lam)[null].max(initial=0.0)
+            if worst <= 1e-15 or worst > last / 2:
+                break
+            last = worst
+        else:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(theta)) or null.all() or np.any((theta > cut / 2) & (theta < 2 * cut)):
+        return None
+    return ritz[:, null]
+
+
 def _h_only_step(
-    mat: np.ndarray, rhs: np.ndarray, lift: tuple[np.ndarray, np.ndarray], rcond: float
+    mat: np.ndarray, rhs: np.ndarray, lift: tuple[np.ndarray, np.ndarray], rcond: float, block: int = 8
 ) -> np.ndarray:
     """The full system's minimal-norm least-squares step ``[dh; dg]``, from ``_eliminate_g``'s problem.
 
-    ``mat dh ~ -rhs`` is factored once: the triangular factor of ``[mat |
-    rhs]``, without ``Q``, then the SVD of its square part, cut at ``rcond``
-    times ``mat``'s largest singular value.  ``dg`` follows from ``lift``.  The
-    full system's least-squares steps are this one plus the lift of ``ker
-    mat``, so projecting that lift out gives the minimal-norm step.
+    ``mat dh ~ -rhs`` is factored once: the triangular factor ``[R | t]`` of
+    ``[mat | rhs]``, without ``Q``.  The directions ``K`` that ``R`` maps
+    below ``rcond`` times its largest singular value come from a block of
+    ``block`` columns (``_null_block``), and ``dh`` solves the full-rank
+    ``[R; K^T] dh ~ [-t; 0]`` through one more triangular factor; where the
+    block is not certain, an SVD of ``R`` gives both.  ``dg`` follows from
+    ``lift``.  The full system's least-squares steps are this one plus the
+    lift ``[K; -G⁺A K]`` of ``ker mat``, so projecting that lift out gives
+    the minimal-norm step, whatever part of ``dh`` lies along ``K``.
     """
     gp_a, gp_f = lift
     n = mat.shape[1]
     tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
-    u, s, vt = np.linalg.svd(tri[:, :n])
-    rank = int(np.sum(s > rcond * s[0]))
-    dh = -vt[:rank].T @ ((u[:, :rank].T @ tri[:, n]) / s[:rank])
+    r, t = tri[:, :n], tri[:, n]
+    kernel = _null_block(r, rcond, min(block, n)) if len(r) == n else None
+    if kernel is None:
+        u, s, vt = np.linalg.svd(r)
+        rank = int(np.sum(s > rcond * s[0]))
+        dh = -vt[:rank].T @ ((u[:, :rank].T @ t) / s[:rank])
+        kernel = vt[rank:].T
+    else:  # factor [R | t; K^T | 0] by panels of 64 columns, each of which changes only
+        # its own rows of R and those of K^T, then back-substitute 64 rows at a time
+        full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1])])])
+        blocks = [(j, min(j + 64, n)) for j in range(0, n, 64)]
+        for j, e in blocks:
+            rows = np.r_[j:e, n : len(full)]
+            full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
+        dh = np.zeros(n)
+        for j, e in reversed(blocks):
+            dh[j:e] = -np.linalg.solve(full[j:e, j:e], full[j:e, n] + full[j:e, e:n] @ dh[e:])
     step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
-    kernel = vt[rank:].T
     if kernel.size:
         basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
         step -= basis @ (basis.T @ step)
@@ -699,12 +770,12 @@ def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> 
 # Factorizations of at most this many columns run on one BLAS thread: Newton
 # steps (2 (N + 1) unknowns when ``gt`` is eliminated: N <= 383; else
 # 4 (N + 1): N <= 191) and the kernel path's SVD and least squares.  At that
-# size a second OpenBLAS thread does not make lstsq faster (2 cores: 330 x 260
-# and 650 x 516 take the same time on one thread or two; a 700 x 400 SVD takes
-# 41 ms on one and 134 ms on two), but each of the many level-2 calls inside
-# it then waits on the other core, so a step slows down two- to threefold
-# whenever another process holds that core.  Larger steps keep the threads: at
-# 1300 x 1028 two threads are about 25% faster.
+# size a second OpenBLAS thread buys a step nothing it can keep (2 cores, three
+# runs: a 615 x 258 step 11-15 ms on one thread and 12-20 on two, an 871 x 514
+# step 71-75 ms and 69-83), because each of the many level-2 calls inside it
+# then waits on the other core, so a step slows down two- to threefold
+# whenever another process holds that core.  Larger ones keep the threads: a
+# 1300 x 1028 lstsq is about 25% faster on two.
 SERIAL_LSTSQ_COLS = 768
 
 
@@ -767,7 +838,9 @@ def solve_newton(
     half as wide; the step is lifted back to the minimal-norm step of the
     full system (``_h_only_step``).  Its rank cut is taken on the ``h``-only
     matrix: the same ``svd_threshold`` on the coupled ``[h | g]`` matrix
-    dropped real directions at ``|b| = 0.45``.  A ``u``-dependent ``r``
+    dropped real directions at ``|b| = 0.45``.  The directions below the cut
+    come from inverse iteration on a block of ``2 k0 - d + 6`` columns, and
+    an SVD only where that block cannot certify them.  A ``u``-dependent ``r``
     couples the T1/T2 rows to ``g`` and keeps ``lstsq`` on the whole step.
     The line search and the convergence test use the residual at the formal
     size.  Convergence is declared on the reduced residual and re-checked
@@ -824,7 +897,7 @@ def solve_newton(
         del op
         with _blas_threads(jac.shape[1]):
             if u_free:
-                delta = _h_only_step(jac, rhs, lift, opts.svd_threshold)
+                delta = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6)
                 del lift
             else:
                 delta, *_ = np.linalg.lstsq(jac, -rhs, rcond=opts.svd_threshold)

@@ -539,9 +539,10 @@ def test_newton_steps_up_to_the_cap_run_on_one_blas_thread(monkeypatch, cols, se
 
         return call
 
-    # a step factors [B | b] (triangular factor only), then takes the SVD of
-    # that factor and a QR of the lifted kernel of B
-    for name in ("lstsq", "qr", "svd"):
+    # a step factors [B | b] (triangular factor only), then [R; mu I], [R; K^T]
+    # and the lifted kernel of B, inverts a triangle, solves small ones (the SVD
+    # only where the null block cannot certify itself)
+    for name in ("lstsq", "qr", "svd", "inv", "solve", "eigh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     monkeypatch.setattr(solver, "SERIAL_LSTSQ_COLS", cols)
     model = _model_d4k3()
@@ -796,15 +797,19 @@ def test_a_floor_on_undecayed_coefficients_reports_them(monkeypatch):
     assert len(linearized) <= 6
 
 
-def _first_step(d, split, n=64):
-    """The first Newton Jacobian and residual of a pinned newton_grid case (b = 0.1)."""
-    model, half = _grid_model(d, split), d // 2
-    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
-    init = model_disc(model, ModelDiscParams(0.1, 1.0), n_max=n)
-    qfac, c = factor_Q(model), init.c
+def _first_jacobian(r, b, n):
+    """The first Newton Jacobian and residual of ``r`` from its model's disc at ``b``."""
+    init = model_disc(r.model, ModelDiscParams(b, 1.0), n_max=n)
+    qfac, c = factor_Q(r.model), init.c
     point = _Point(*(divide_one_minus_zeta(s, tol=1e-6).truncate(n).pad_to(n) for s in (init.h, init.g)))
     op = _linearize(r, qfac, c, point, n, None, None)
     return op, stack_value(_operator_value(r, qfac, c, point), op.n_out)
+
+
+def _first_step(d, split, n=64, b=0.1):
+    """The first Newton Jacobian and residual of a pinned newton_grid case."""
+    model, half = _grid_model(d, split), d // 2
+    return _first_jacobian(DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {}), b, n)
 
 
 @pytest.mark.parametrize("d, split", [(4, False), (6, True)])
@@ -823,8 +828,150 @@ def test_h_only_step_is_the_full_minimal_norm_step(d, split):
         mat, vec, lift = _eliminate_g(op.matrix, f, op.n_in, op.n_out)
         assert mat.shape[1] == jac.shape[1] // 2
         step = _h_only_step(mat, vec, lift, 1e-8)
+        assert np.array_equal(step, _h_only_step(mat, vec, lift, 1e-8))
         assert np.linalg.norm(step - full) <= 1e-10 * np.linalg.norm(full)
         assert np.max(np.abs(kernel @ step)) <= 1e-10 * np.linalg.norm(step)
+
+
+def _svd_step(mat, rhs, lift, rcond, transposed=False):
+    """``(step, rank)`` of the h-only step taken through an SVD of the triangular factor: the oracle.
+
+    With ``transposed`` the SVD is that of the factor's transpose, an equally
+    valid SVD; the two steps differ by what the SVD itself leaves undetermined.
+    """
+    gp_a, gp_f = lift
+    n = mat.shape[1]
+    tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
+    if transposed:
+        v, s, ut = np.linalg.svd(tri[:, :n].T)
+        u, vt = ut.T, v.T
+    else:
+        u, s, vt = np.linalg.svd(tri[:, :n])
+    rank = int(np.sum(s > rcond * s[0]))
+    dh = -vt[:rank].T @ ((u[:, :rank].T @ tri[:, n]) / s[:rank])
+    step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
+    kernel = vt[rank:].T
+    if kernel.size:
+        basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
+        step -= basis @ (basis.T @ step)
+    return step, rank
+
+
+def _assert_matches_the_svd_step(mat, rhs, lift, block=8):
+    """Check ``_h_only_step`` against the SVD oracle; return the oracle's own spread, relative.
+
+    The step must find the oracle's rank, rerun to the bit, and lie within
+    1e-12 of the oracle's step, relative, or within four times the spread of
+    the oracle itself (an SVD of ``R`` against one of ``R^T``) where that is
+    larger: no step is determined more closely than that.
+    """
+    n = mat.shape[1]
+    kernel = solver._null_block(np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n, :n], 1e-8, block)
+    ref, rank = _svd_step(mat, rhs, lift, 1e-8)
+    assert kernel is not None and n - kernel.shape[1] == rank
+    step = _h_only_step(mat, rhs, lift, 1e-8, block)
+    assert np.array_equal(step, _h_only_step(mat, rhs, lift, 1e-8, block))  # no unseeded draw
+    spread = np.linalg.norm(_svd_step(mat, rhs, lift, 1e-8, transposed=True)[0] - ref) / np.linalg.norm(ref)
+    assert np.linalg.norm(step - ref) <= max(1e-12, 4 * spread) * np.linalg.norm(ref)
+    return spread
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("bmag", [0.1, 0.45])
+@pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
+def test_h_only_step_matches_the_svd_step_on_every_newton_grid_shape(d, split, bmag, n):
+    # the first step of each newton_grid shape, for the residual and for a
+    # random right-hand side.  Where the smallest kept sigma is only some
+    # 10^2 above the cut (split roots at |b| = 0.45), an SVD of R and one of
+    # R^T already give steps up to ~1e-8 apart
+    op, rhs = _first_step(d, split, n, bmag)
+    for f in (rhs, np.random.default_rng(d).standard_normal(rhs.size)):
+        mat, vec, lift = _eliminate_g(op.matrix, f, op.n_in, op.n_out)
+        assert _assert_matches_the_svd_step(mat, vec, lift) <= 1e-7
+
+
+def test_h_only_step_keeps_null_directions_of_very_different_sigma():
+    # at b = 0 the cubic perturbation's first h-only factor has two null
+    # directions whose sigmas lie many orders apart: inverse iteration
+    # through R^-1 R^-T without the shift loses the larger one under the
+    # smaller, or overflows
+    op, rhs = _first_jacobian(_cubic_pert(1e-3), 0.0, 64)
+    mat, vec, lift = _eliminate_g(op.matrix, rhs, op.n_in, op.n_out)
+    assert _assert_matches_the_svd_step(mat, vec, lift) <= 2.5e-13  # so held to 1e-12
+
+
+def test_h_only_step_sweeps_until_the_kept_directions_are_gone():
+    # d6-k4 at b = 0.45, N = 64: the smallest kept sigma is only ~190 times
+    # the cut, so one sweep of the shifted iteration leaves the kernel off by
+    # ~1e-3; the oracle's own spread is 1.3e-8 here
+    op, rhs = _first_step(6, True, 64, 0.45)
+    mat, vec, lift = _eliminate_g(op.matrix, rhs, op.n_in, op.n_out)
+    assert _assert_matches_the_svd_step(mat, vec, lift) <= 1e-7
+
+
+def _triangular_problem(n, null_sigmas, smallest_kept, seed=3):
+    """``_h_only_step``'s arguments for an upper-triangular ``mat``, which is then its own factor ``R``.
+
+    Its kept sigmas run from 1 down to about ``smallest_kept``.  Each
+    ``null_sigmas`` entry is the only entry of its row, on the diagonal, and
+    gives one sigma of about its size, along a direction that the column
+    above it tilts off the axes.
+    """
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    tri = np.linalg.qr((u * np.geomspace(1.0, smallest_kept, n)) @ v.T, mode="r")
+    rows = np.linspace(n // 4, n - 1, len(null_sigmas)).astype(int)
+    tri[rows] = 0.0
+    tri[rows, rows] = null_sigmas
+    lift = (rng.standard_normal((n + 1, n)), rng.standard_normal(n + 1))
+    return tri, rng.standard_normal(n), lift
+
+
+def _singular_values(mat, rhs):
+    n = mat.shape[1]
+    return np.linalg.svd(np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n, :n], compute_uv=False)
+
+
+def test_h_only_step_on_null_sigmas_at_1e_30_and_1e_15():
+    # the synthetic form of the cubic perturbation's two null directions
+    mat, rhs, lift = _triangular_problem(96, (1e-30, 1e-15), 1e-4)
+    sigma = _singular_values(mat, rhs)
+    assert np.sum(sigma <= 1e-8 * sigma[0]) == 2
+    assert _assert_matches_the_svd_step(mat, rhs, lift) <= 2.5e-13
+
+
+def test_h_only_step_on_a_null_sigma_six_times_below_the_cut():
+    # the largest null sigma seen in newton_grid is 6x below the cut; here
+    # it sits next to kept sigmas only ~300x above the cut
+    for seed in range(3):
+        mat, rhs, lift = _triangular_problem(96, (1e-20, 1e-9), 3e-6, seed)
+        sigma = _singular_values(mat, rhs)
+        mat[mat == 1e-9] *= 1e-8 * sigma[0] / 6 / sigma[-2]  # that sigma scales with its entry
+        sigma = _singular_values(mat, rhs)
+        cut = 1e-8 * sigma[0]
+        assert np.sum(sigma <= cut) == 2 and 5.9 < cut / sigma[-2] < 6.1 and sigma[-3] > 250 * cut
+        assert _assert_matches_the_svd_step(mat, rhs, lift) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "null_sigmas, over_cut",
+    [
+        (np.geomspace(1e-25, 1e-12, 9), None),  # a null space larger than the 8-column block
+        ((1e-20, 1e-9), 1.5),  # a kept sigma within a factor 2 of the cut
+        ((1e-20, 1e-9), 1 / 1.5),  # a null one within a factor 2
+    ],
+)
+def test_h_only_step_takes_the_svd_where_the_block_cannot_certify(monkeypatch, null_sigmas, over_cut):
+    mat, rhs, lift = _triangular_problem(96, null_sigmas, 1e-4)
+    if over_cut is not None:
+        sigma = _singular_values(mat, rhs)
+        mat[mat == 1e-9] *= 1e-8 * sigma[0] * over_cut / sigma[-2]
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(None) or svd(*a, **k))
+    step = _h_only_step(mat, rhs, lift, 1e-8)
+    assert len(calls) == 1
+    assert np.array_equal(step, _svd_step(mat, rhs, lift, 1e-8)[0])
 
 
 def test_g_pinv_inverts_g_on_its_range():
