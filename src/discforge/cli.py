@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .discs import ModelDiscParams, model_disc, stationarity_residual
-from .exceptions import ConfigError, NumericalError, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, integer, malformed, strict_keys
 from .jets import (
     _pair,
     determination_experiment,
@@ -84,7 +84,7 @@ def _pairs(value) -> tuple:
     return tuple(complex(re, im) for re, im in value)
 
 
-_count = _checked(int, lambda n: 1 <= n <= MAX_ANGLES, f"1 <= count <= {MAX_ANGLES}")
+_count = _checked(integer, lambda n: 1 <= n <= MAX_ANGLES, f"1 <= count <= {MAX_ANGLES}")
 
 # The reader of each parameter of each command, and the parameter a command needs.
 _PARAMS = {
@@ -119,7 +119,7 @@ class RunConfig:
     def from_dict(cls, data, command: str) -> "RunConfig":
         strict_keys(data, _TOP_KEYS, "config")
         with malformed("schema"):
-            schema = int(data.get("schema", SCHEMA_VERSION))
+            schema = integer(data.get("schema", SCHEMA_VERSION), "schema")
         if schema != SCHEMA_VERSION:
             raise ConfigError(f"unsupported config schema (expected {SCHEMA_VERSION})")
         if "model" not in data:

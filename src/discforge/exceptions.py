@@ -1,4 +1,4 @@
-"""Shared exception types, and the two rules every config reader follows.
+"""Shared exception types, and the rules every config reader follows.
 
 ``ConfigError`` marks bad user input (CLI exit code 2); ``NumericalError``
 marks a computation that ran but failed its own quality gates (exit code 1).
@@ -33,6 +33,13 @@ def strict_keys(data, allowed, what: str) -> dict:
     if extra:
         raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
     return data
+
+
+def integer(value, name: str = "value") -> int:
+    """Read a config integer, a JSON int or an integral float: never a bool, a string or a fraction."""
+    if type(value) is not int and not (isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 @contextmanager

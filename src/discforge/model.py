@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericalError, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, integer, malformed, strict_keys
 from .series import TrigSeries, coeff_distance, multiply
 
 __all__ = [
@@ -139,11 +139,11 @@ class ModelPolynomial:
         strict_keys(data, {"d", "k0", "alpha"}, "model")
         upper: dict[int, complex] = {}
         with malformed("malformed model data"):
-            d = int(data["d"])
-            k0 = int(data["k0"])
+            d = integer(data["d"], "d")
+            k0 = integer(data["k0"], "k0")
             for item in data["alpha"]:
                 strict_keys(item, {"j", "re", "im"}, "alpha entry")
-                j = int(item["j"])
+                j = integer(item["j"], "j")
                 if 2 * j < d:
                     raise ConfigError("model data lists only j >= d/2; mirrors are derived")
                 upper[j] = float(item["re"]) + 1j * float(item.get("im", 0.0))

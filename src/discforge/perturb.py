@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, malformed, strict_keys
+from .exceptions import ConfigError, integer, malformed, strict_keys
 from .model import ModelPolynomial, d_u, d_z, d_zbar, eval_mon
 from .series import MAX_ORDER, Powers, TrigSeries, multiply
 
@@ -197,11 +197,9 @@ class DefiningFunction:
         with malformed("malformed perturbation"):
             for item in data.get("terms", []):
                 strict_keys(item, {"i", "j", "l", "coeffs"}, "perturbation term")
-                coeffs = {(int(m), int(n)): re + 1j * im for m, n, re, im in item["coeffs"]}
-                terms.append(
-                    PerturbationTerm(int(item["i"]), int(item["j"]), int(item["l"]), coeffs)
-                )
-            theta1 = {int(deg): float(val) for deg, val in data.get("theta1", [])}
+                coeffs = {(integer(m, "m"), integer(n, "n")): re + 1j * im for m, n, re, im in item["coeffs"]}
+                terms.append(PerturbationTerm(*(integer(item[key], key) for key in "ijl"), coeffs))
+            theta1 = {integer(deg, "theta1 degree"): float(val) for deg, val in data.get("theta1", [])}
         return cls(model, tuple(terms), theta1)
 
 
@@ -312,9 +310,9 @@ class BiholoMap:
     def from_dict(cls, data: dict) -> "BiholoMap":
         strict_keys(data, {"d", "H1", "H2"}, "map")
         with malformed("malformed map data"):
-            h1 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H1"]}
-            h2 = {(int(j), int(l)): re + 1j * im for j, l, re, im in data["H2"]}
-            return cls(int(data["d"]), h1, h2)
+            h1 = {(integer(j, "j"), integer(l, "l")): re + 1j * im for j, l, re, im in data["H1"]}
+            h2 = {(integer(j, "j"), integer(l, "l")): re + 1j * im for j, l, re, im in data["H2"]}
+            return cls(integer(data["d"], "d"), h1, h2)
 
 
 def dilate_map(h: BiholoMap, t: float) -> BiholoMap:

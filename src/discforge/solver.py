@@ -41,7 +41,7 @@ from typing import NoReturn
 import numpy as np
 
 from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual, weight_series
-from .exceptions import ConfigError, NumericalError, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, integer, malformed, strict_keys
 from .model import QFactorization, d_u
 from .perturb import DefiningFunction, x_norm_distance
 from .series import (
@@ -113,12 +113,12 @@ class SolverOptions:
         kwargs = {}
         with malformed("malformed solver options"):
             if "N" in data:
-                kwargs["n_max"] = int(data["N"])
+                kwargs["n_max"] = integer(data["N"], "N")
             for key in ("tol", "svd_threshold", "x_norm_bound"):
                 if key in data:
                     kwargs[key] = float(data[key])
             if "max_iter" in data:
-                kwargs["max_iter"] = int(data["max_iter"])
+                kwargs["max_iter"] = integer(data["max_iter"], "max_iter")
         return cls(**kwargs)
 
 
@@ -513,9 +513,10 @@ def kernel_basis_p0(
     correction by least squares; the homogeneous block is the complex span of
     the constant and one truncated binomial tail per inside root and order,
     with the ``g`` component completed through the boundary real-part solve.
-    The weight corrections come from one multi-right-hand-side solve on the
-    linearization whose rows stop at the multipliers' carrier, as every
-    Jacobian does.
+    The weight corrections are one Newton step, a right-hand-side column per
+    direction, on the linearization whose rows stop at the multipliers'
+    carrier: the pure model is ``u``-free and the weight columns' T2 rows
+    are zero (``-1/2 zeta^k0 2 Re zeta^n`` has no negative mode).
     """
     d, k0 = model.d, model.k0
     defn = DefiningFunction.pure(model)
@@ -523,9 +524,8 @@ def kernel_basis_p0(
     point = _Point.of_disc(disc)
     op = _linearize(defn, qfac, disc.c, point, n_in, None, k0)
     matrix = op.matrix
-    hg = matrix[:, op.hg_cols]
-    with _blas_threads(hg.shape[1]):
-        sol, *_ = np.linalg.lstsq(hg, -matrix[:, op.weight_cols], rcond=threshold)
+    mat, rhs, lift = _eliminate_g(matrix[:, op.hg_cols], matrix[:, op.weight_cols], n_in, op.n_out)
+    sol = _h_only_step(mat, rhs, lift, threshold, 2 * k0 - d + 6)
     weight_dirs = np.eye(2 * k0 + 1, matrix.shape[1])
     weight_dirs[:, op.hg_cols] = sol.T
     raw = list(weight_dirs)
@@ -699,40 +699,45 @@ def _h_only_step(
 ) -> np.ndarray:
     """The full system's minimal-norm least-squares step ``[dh; dg]``, from ``_eliminate_g``'s problem.
 
-    ``mat dh ~ -rhs`` is factored once: the triangular factor ``[R | t]`` of
-    ``[mat | rhs]``, without ``Q``.  The directions ``K`` that ``R`` maps
-    below ``rcond`` times its largest singular value come from a block of
-    ``block`` columns (``_null_block``), and ``dh`` solves the full-rank
-    ``[R; K^T] dh ~ [-t; 0]`` through one more triangular factor; where the
-    block is not certain, an SVD of ``R`` gives both.  ``dg`` follows from
-    ``lift``.  The full system's least-squares steps are this one plus the
-    lift ``[K; -G⁺A K]`` of ``ker mat``, so projecting that lift out gives
-    the minimal-norm step, whatever part of ``dh`` lies along ``K``.
+    One step per column of ``rhs``; with the empty lift
+    ``(np.zeros((0, n)), np.zeros(0))`` it is ``mat``'s own minimal-norm
+    step.  ``mat dh ~ -rhs`` is factored once: the triangular factor
+    ``[R | t]`` of ``[mat | rhs]``, without ``Q``.  The directions ``K`` that
+    ``R`` maps below ``rcond`` times its largest singular value come from a
+    block of ``block`` columns (``_null_block``), and ``dh`` solves the
+    full-rank ``[R; K^T] dh ~ [-t; 0]`` through one more triangular factor;
+    where the block is not certain, an SVD of ``R`` gives both.  ``dg``
+    follows from ``lift``.  The full system's least-squares steps are this
+    one plus the lift ``[K; -G⁺A K]`` of ``ker mat``, so projecting that
+    lift out gives the minimal-norm step, whatever part of ``dh`` lies along
+    ``K``.  It runs on one BLAS thread up to ``SERIAL_LSTSQ_COLS`` unknowns.
     """
     gp_a, gp_f = lift
     n = mat.shape[1]
-    tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
-    r, t = tri[:, :n], tri[:, n]
-    kernel = _null_block(r, rcond, min(block, n)) if len(r) == n else None
-    if kernel is None:
-        u, s, vt = np.linalg.svd(r)
-        rank = int(np.sum(s > rcond * s[0]))
-        dh = -vt[:rank].T @ ((u[:, :rank].T @ t) / s[:rank])
-        kernel = vt[rank:].T
-    else:  # factor [R | t; K^T | 0] by panels of 64 columns, each of which changes only
-        # its own rows of R and those of K^T, then back-substitute 64 rows at a time
-        full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1])])])
-        blocks = [(j, min(j + 64, n)) for j in range(0, n, 64)]
-        for j, e in blocks:
-            rows = np.r_[j:e, n : len(full)]
-            full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
-        dh = np.zeros(n)
-        for j, e in reversed(blocks):
-            dh[j:e] = -np.linalg.solve(full[j:e, j:e], full[j:e, n] + full[j:e, e:n] @ dh[e:])
-    step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
-    if kernel.size:
-        basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
-        step -= basis @ (basis.T @ step)
+    tcols = n if rhs.ndim == 1 else slice(n, None)  # the columns of t, one per column of rhs
+    with _blas_threads(n):
+        tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
+        r, t = tri[:, :n], tri[:, tcols]
+        kernel = _null_block(r, rcond, min(block, n)) if len(r) == n else None
+        if kernel is None:
+            u, s, vt = np.linalg.svd(r)
+            rank = int(np.sum(s > rcond * s[0]))
+            dh = -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T
+            kernel = vt[rank:].T
+        else:  # factor [R | t; K^T | 0] by panels of 64 columns, each of which changes only
+            # its own rows of R and those of K^T, then back-substitute 64 rows at a time
+            full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1:] + t.shape[1:])])])
+            blocks = [(j, min(j + 64, n)) for j in range(0, n, 64)]
+            for j, e in blocks:
+                rows = np.r_[j:e, n : len(full)]
+                full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
+            dh = np.zeros(t.shape)
+            for j, e in reversed(blocks):
+                dh[j:e] = -np.linalg.solve(full[j:e, j:e], full[j:e, tcols] + full[j:e, e:n] @ dh[e:])
+        step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
+        if kernel.size:
+            basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
+            step -= basis @ (basis.T @ step)
     return step
 
 
@@ -767,15 +772,16 @@ def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> 
     )
 
 
-# Factorizations of at most this many columns run on one BLAS thread: Newton
-# steps (2 (N + 1) unknowns when ``gt`` is eliminated: N <= 383; else
-# 4 (N + 1): N <= 191) and the kernel path's SVD and least squares.  At that
+# Factorizations of at most this many columns run on one BLAS thread: every
+# least-squares step (a Newton step has 2 (N + 1) unknowns when ``gt`` is
+# eliminated: N <= 383; else 4 (N + 1): N <= 191; the kernel basis'
+# weight corrections 2 (n_in + 1)) and the kernel dimension's SVD.  At that
 # size a second OpenBLAS thread buys a step nothing it can keep (2 cores, three
 # runs: a 615 x 258 step 11-15 ms on one thread and 12-20 on two, an 871 x 514
 # step 71-75 ms and 69-83), because each of the many level-2 calls inside it
 # then waits on the other core, so a step slows down two- to threefold
 # whenever another process holds that core.  Larger ones keep the threads: a
-# 1300 x 1028 lstsq is about 25% faster on two.
+# 1300 x 1028 coupled step was about 25% faster on two (measured with lstsq).
 SERIAL_LSTSQ_COLS = 768
 
 
@@ -827,36 +833,28 @@ def solve_newton(
 ) -> SolveResult:
     """Damped Gauss-Newton continuation with the weight frozen at ``c(b)``.
 
-    Unknowns are the analytic coefficients of ``ht, gt``; steps are
-    minimal-norm least-squares solutions, which pins the in-fiber freedom (the
-    update never moves along the residual kernel).  Each Jacobian stops at the
-    multipliers' numerical carrier (``_carrier_n_out``): rows that only
-    rounding-level coefficients reach are never assembled, which leaves a
-    problem about as tall as it is wide and moves the step at rounding level.
+    Unknowns are the analytic coefficients of ``ht, gt``; every step is the
+    minimal-norm least-squares step of ``_h_only_step``, which pins the
+    in-fiber freedom (the update never moves along the residual kernel).
+    Each Jacobian stops at the multipliers' numerical carrier
+    (``_carrier_n_out``), which leaves a problem about as tall as it is wide.
     When ``r`` does not involve ``u``, ``dg`` is eliminated in closed form
-    (``_eliminate_g``) and only the ``h`` columns are factored, a problem
-    half as wide; the step is lifted back to the minimal-norm step of the
-    full system (``_h_only_step``).  Its rank cut is taken on the ``h``-only
-    matrix: the same ``svd_threshold`` on the coupled ``[h | g]`` matrix
-    dropped real directions at ``|b| = 0.45``.  The directions below the cut
-    come from inverse iteration on a block of ``2 k0 - d + 6`` columns, and
-    an SVD only where that block cannot certify them.  A ``u``-dependent ``r``
-    couples the T1/T2 rows to ``g`` and keeps ``lstsq`` on the whole step.
-    The line search and the convergence test use the residual at the formal
-    size.  Convergence is declared on the reduced residual and re-checked
-    with the plain substitution residual; an iterate whose ``h`` or ``g``
-    has not decayed within the truncation is reported as such, also when it
-    is where the line search fails, and a final disc that fails
-    ``LiftedDisc``'s pin check is a ``NumericalError``.  A reduced residual
-    in the band ``[inner_tol, tol)`` is the truncation's floor when
-    ``STALL_STEPS`` accepted steps in a row each leave it above
-    ``STALL_FACTOR`` of the previous one, or when the line search fails from
-    it: the solve then stops at once with a ``NumericalError`` that names
-    the level, N and the coefficient tails (``_truncation_floor``), instead
-    of grinding through halved line searches up to ``max_iter``.  Above
-    ``tol`` both keep their own messages.  Steps that factor up to
-    ``SERIAL_LSTSQ_COLS`` unknowns run on one BLAS thread, which keeps their
-    time steady when another process shares the cores.
+    (``_eliminate_g``): the step factors the ``h`` columns alone and lifts
+    back, so its rank cut is on the ``h``-only matrix (the same
+    ``svd_threshold`` on the coupled ``[h | g]`` matrix dropped real
+    directions at ``|b| = 0.45``).  A ``u``-dependent ``r`` couples the T1/T2
+    rows to ``g`` and steps on the whole ``[h | g]`` Jacobian, with nothing
+    to lift.  The line search and the convergence test use the residual at
+    the formal size.  Convergence is declared on the reduced residual and
+    re-checked with the plain substitution residual; an iterate whose ``h``
+    or ``g`` has not decayed within the truncation is reported as such, also
+    where the line search fails, and a final disc that fails ``LiftedDisc``'s
+    pin check is a ``NumericalError``.  A reduced residual in ``[inner_tol,
+    tol)`` is the truncation's floor when ``STALL_STEPS`` accepted steps in a
+    row each leave it above ``STALL_FACTOR`` of the previous one, or when the
+    line search fails from it: the solve then stops with a
+    ``NumericalError`` naming the level, N and the coefficient tails
+    (``_truncation_floor``).  Above ``tol`` both keep their own messages.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -892,16 +890,13 @@ def solve_newton(
         rhs, jac = stack_value(val, op.n_out), op.matrix
         if u_free:
             jac, rhs, lift = _eliminate_g(jac, rhs, n_in, op.n_out)
+        else:  # the coupled [h | g] problem: no dg to lift
+            lift = (np.zeros((0, jac.shape[1])), np.zeros(0))
         # the full matrix goes now, the step's matrix and the lift right after
         # the solve: none then lives on through the next assembly
         del op
-        with _blas_threads(jac.shape[1]):
-            if u_free:
-                delta = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6)
-                del lift
-            else:
-                delta, *_ = np.linalg.lstsq(jac, -rhs, rcond=opts.svd_threshold)
-        del jac
+        delta = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6)
+        del jac, lift
         phi0 = float(f @ f)
         alpha = 1.0
         while True:

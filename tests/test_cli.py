@@ -158,6 +158,41 @@ def test_config_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2 and not out.exists(), (key, value)
         assert f"params.{key}" in err and "[hypothesis]" not in err, (key, value, err)
+    # an integer field takes an int or an integral float, never a fraction,
+    # a boolean or a string, and the refusal names the field
+    term = {"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]]}
+    not_integers = [
+        ("disc", {**z4({"disc": disc_b}), "solver": {"N": 32.7}}, "N"),
+        ("disc", {**z4({"disc": disc_b}), "solver": {"N": True}}, "N"),
+        ("disc", {**z4({"disc": disc_b}), "solver": {"N": "64"}}, "N"),
+        ("disc", {**z4({"disc": disc_b}), "solver": {"max_iter": 2.5}}, "max_iter"),
+        ("analyze", {"model": Z4_MODEL, "schema": 1.5}, "schema"),
+        ("analyze", {"model": {**Z4_MODEL, "d": 4.9}}, "d"),
+        ("analyze", {"model": {**Z4_MODEL, "k0": 2.2}}, "k0"),
+        ("analyze", {"model": {**Z4_MODEL, "alpha": [{"j": 2.5, "re": 1.0}]}}, "j"),
+        ("disc", z4({"disc": disc_b, "samples": 8.9}), "params.samples: value"),
+        ("disc", z4({"disc": disc_b, "samples": True}), "params.samples: value"),
+        ("gap", {"model": Z4_MODEL, "params": {"n_angles": 4.5}}, "params.n_angles: value"),
+        *(
+            ("analyze", {"model": Z4_MODEL, "perturbation": {"terms": [{**term, key: value}]}}, key)
+            for key, value in (("i", 3.5), ("j", 2.5), ("l", False))
+        ),
+        ("analyze", {"model": Z4_MODEL, "perturbation": {"terms": [{**term, "coeffs": [[0.5, 0, 1.0, 0.0]]}]}}, "m"),
+        ("analyze", {"model": Z4_MODEL, "perturbation": {"terms": [{**term, "coeffs": [[0, "0", 1.0, 0.0]]}]}}, "n"),
+        ("analyze", {"model": Z4_MODEL, "perturbation": {"theta1": [[2.5, 1e-4]]}}, "theta1 degree"),
+        ("determine", z4({"map": {**identity, "d": 4.5}, "t": 0.5}), "d"),
+        ("determine", z4({"map": {**identity, "H1": [[1.5, 0, 1.0, 0.0]]}, "t": 0.5}), "j"),
+        ("determine", z4({"map": {**identity, "H2": [[0, 1.5, 1.0, 0.0]]}, "t": 0.5}), "l"),
+    ]
+    for k, (command, config, key) in enumerate(not_integers):
+        capsys.readouterr()
+        rc, out = _run(tmp_path, command, config, name=f"i{k}.json")
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists(), (command, config)
+        assert f"{key} must be an integer" in err, (key, err)
+    # an integral float is that integer
+    rc, out = _run(tmp_path, "disc", {**z4({"disc": disc_b}), "solver": {"N": 64.0}}, name="n64.json")
+    assert rc == 0 and json.loads((out / "manifest.json").read_text())["n_max"] == 64
     # a map that blows up on the zero set fails the hypothesis gate, not the
     # composed disc's pin check
     capsys.readouterr()

@@ -460,26 +460,26 @@ def test_kernel_on_carrier_rows_matches_formal_rows(monkeypatch):
     model = _model_d4k3()
     qfac = factor_Q(model)
     disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=8)
-    lstsq = np.linalg.lstsq
+    step = solver._h_only_step
 
     def run():
         rows = []
 
-        def recording_lstsq(a, b, **kwargs):
-            rows.append(a.shape[0])
-            return lstsq(a, b, **kwargs)
+        def recording_step(mat, *args):
+            rows.append(mat.shape[0])
+            return step(mat, *args)
 
         op = linearize_at(_pure(model), disc, qfac, n_in=48, n_weight=model.k0)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "lstsq", recording_lstsq)
+            patch.setattr(solver, "_h_only_step", recording_step)
             basis = kernel_basis_p0(model, qfac, n_in=48)
         sigma = np.linalg.svd(op.matrix, compute_uv=False)
         return op.matrix.shape[0], rows, kernel_dim_svd(op), sigma, basis
 
-    rows, lstsq_rows, dim, sigma, basis = run()
+    rows, step_rows, dim, sigma, basis = run()
     monkeypatch.setattr(solver, "_carrier_n_out", lambda mults, n_in, n_weight, n_out: n_out)
-    formal_rows, formal_lstsq_rows, formal_dim, formal_sigma, formal_basis = run()
-    assert rows < formal_rows and lstsq_rows[0] < formal_lstsq_rows[0]
+    formal_rows, formal_step_rows, formal_dim, formal_sigma, formal_basis = run()
+    assert rows < formal_rows and step_rows[0] < formal_step_rows[0]
     assert dim == formal_dim == basis.dim == formal_basis.dim
     rank = sigma.size - dim
     assert np.all(np.abs(sigma[:rank] - formal_sigma[:rank]) <= 1e-12 * formal_sigma[:rank])
@@ -988,27 +988,88 @@ def test_g_pinv_inverts_g_on_its_range():
     assert np.max(np.abs(_g_pinv(g @ x, n_in) - x)) <= 1e-12
 
 
-def test_u_dependent_solve_takes_the_full_lstsq_path(monkeypatch):
+def test_u_dependent_solve_takes_the_coupled_step(monkeypatch):
     # an l = 1 term couples the T1/T2 rows to g: no elimination, the whole
-    # [h | g] step goes to lstsq, and the outcome is that of the previous code
+    # [h | g] step goes to _h_only_step with nothing to lift, and the outcome
+    # is that of the lstsq step it replaced
     model = _abs_power(4)
     r = DefiningFunction(model, (PerturbationTerm(2, 1, 1, {(0, 0): 1e-3}),), {})
     init = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=32)
-    cols, lstsq = [], np.linalg.lstsq
+    cols, step = [], solver._h_only_step
 
-    def recording(a, *args, **kwargs):
-        cols.append(a.shape[1])
-        return lstsq(a, *args, **kwargs)
+    def recording(mat, *args):
+        cols.append(mat.shape[1])
+        return step(mat, *args)
 
     def eliminated(*args):
         raise AssertionError("g eliminated for a u-dependent r")
 
-    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    monkeypatch.setattr(solver, "_h_only_step", recording)
     monkeypatch.setattr(solver, "_eliminate_g", eliminated)
     expected = r"^no convergence in 25 iterations \(reduced 1\.612e-02, plain 7\.113e-02\)$"
     with pytest.raises(NumericalError, match=expected):
         solve_newton(r, factor_Q(model), 0.0, init, SolverOptions(n_max=32))
     assert cols == [4 * 33] * 25
+
+
+def _no_lift(cols):
+    """The lift of a problem with no eliminated ``dg``: the step is the solution itself."""
+    return np.zeros((0, cols)), np.zeros(0)
+
+
+@pytest.mark.parametrize(
+    "model, terms, theta1, b",
+    [
+        # two null directions, through the null block
+        (_model_d4k3(), (PerturbationTerm(2, 1, 1, {(0, 0): 1e-3}),), {}, 0.1j),
+        # one null direction, through the null block
+        (_abs_power(4), (), {2: 3e-3}, 0.0),
+        # a kept sigma 1.3 times the cut, which the block cannot certify: the SVD
+        (_abs_power(4), (PerturbationTerm(2, 1, 1, {(0, 0): 1e-3}),), {}, 0.0),
+    ],
+)
+def test_coupled_step_is_the_lstsq_step(model, terms, theta1, b):
+    # a u-dependent r steps on the whole [h | g] Jacobian, with the same cut
+    # lstsq takes at rcond = 1e-8: the same minimal-norm step
+    op, rhs = _first_jacobian(DefiningFunction(model, terms, theta1), b, 48)
+    ref, *_ = np.linalg.lstsq(op.matrix, -rhs, rcond=1e-8)
+    step = _h_only_step(op.matrix, rhs, _no_lift(op.matrix.shape[1]), 1e-8, 2 * model.k0 - model.d + 6)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_step_on_a_wide_matrix_is_the_lstsq_step():
+    # fewer rows than unknowns: the factor is not square, so the step takes
+    # the SVD; here the rank (30) is below the row count (40) too
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal((40, 30)) @ rng.standard_normal((30, 60))
+    rhs = rng.standard_normal(40)
+    ref, *_ = np.linalg.lstsq(mat, -rhs, rcond=1e-8)
+    step = _h_only_step(mat, rhs, _no_lift(60), 1e-8)
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("case", ["null block", "svd"])
+def test_step_on_four_columns_is_four_one_column_steps(case):
+    # a right-hand side of several columns (the kernel basis' weight
+    # corrections) gives each column's own step, through the null block on a
+    # newton_grid first step, and through the SVD on a null space larger
+    # than the block
+    rng = np.random.default_rng(7)
+    if case == "null block":
+        op, rhs = _first_step(6, True)
+        f = np.column_stack([rhs, rng.standard_normal((rhs.size, 3))])
+        mat, vec, lift = _eliminate_g(op.matrix, f, op.n_in, op.n_out)
+        columns = [_eliminate_g(op.matrix, f[:, i], op.n_in, op.n_out) for i in range(4)]
+    else:
+        mat, _, (gp_a, _) = _triangular_problem(96, np.geomspace(1e-25, 1e-12, 9), 1e-4)
+        vec, gp_f = rng.standard_normal((96, 4)), rng.standard_normal((97, 4))
+        lift = (gp_a, gp_f)
+        columns = [(mat, vec[:, i], (gp_a, gp_f[:, i])) for i in range(4)]
+    steps = _h_only_step(mat, vec, lift, 1e-8)
+    assert steps.shape == (mat.shape[1] + len(lift[0]), 4)
+    for i, args in enumerate(columns):
+        one = _h_only_step(*args, 1e-8)
+        assert np.linalg.norm(steps[:, i] - one) <= 1e-12 * np.linalg.norm(one)
 
 
 def test_newton_converges_where_the_coupled_rank_cut_failed():
