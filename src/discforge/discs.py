@@ -109,6 +109,18 @@ class LiftedDisc:
         if samples.min() <= 1e-10:
             raise ConfigError("disc weight c must be strictly positive")
 
+    @classmethod
+    def computed(cls, c, h, g, what: str) -> "LiftedDisc":
+        """A disc the package computed; a failed check is a ``NumericalError`` naming ``what``.
+
+        The model disc, a solved disc and a composed disc come through here:
+        their components are the package's output, not the user's input.
+        """
+        try:
+            return cls(c, h, g)
+        except ConfigError as exc:
+            raise NumericalError(f"{what} fails its pin check: {exc}") from None
+
     def center(self) -> tuple[complex, complex]:
         return complex(self.h.coeff(0)), complex(self.g.coeff(0))
 
@@ -150,7 +162,10 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
 
     Truncation leaves ``h(1)`` of size ``|a|^n_max``, and rounding leaves
     ``g(1)`` of size ``eps * max|g|``; both constants are pulled back out so
-    the pinning is exact at the stated tolerance.
+    the pinning is exact at the stated tolerance.  The disc is computed, so a
+    check it fails is numerical (``LiftedDisc.computed``): the weight
+    ``(1 - 2|b|)^k0`` of an accepted ``|b|`` near 1/2 can fall under the
+    positivity gate.
     """
     if n_max < 4:
         raise ConfigError("disc order must be at least 4")
@@ -169,7 +184,7 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
         raise NumericalError(f"model disc overflows: P(h, conj h) is not finite at |v| = {abs(params.v):.3e}")
     g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs))
     g = g + TrigSeries.constant(-g.value_at_one())
-    return LiftedDisc(c, h, g)
+    return LiftedDisc.computed(c, h, g, "model disc")
 
 
 def boundary_powers(h: TrigSeries, g: TrigSeries) -> tuple[Powers, Powers, Powers]:

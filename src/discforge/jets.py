@@ -146,8 +146,6 @@ def _tail_truncation(qfac: QFactorization, size: int) -> int:
     if not qfac.roots_inside:
         return 4
     top = max(abs(r) for r, _ in qfac.roots_inside)
-    if top == 0:
-        return 8
     n = 64
     while n**size * top**n > 1e-14 and n < (1 << 16):
         n *= 2
@@ -293,10 +291,7 @@ def determination_experiment(
         sol = solve_newton(r_t, qfac, b, init, opts)
         base = sol.disc
         h_new, g_new = compose_disc(h_t, base)
-        try:
-            composed = LiftedDisc(base.c, h_new, g_new)
-        except ConfigError as exc:  # the composed disc, not the input, fails the check
-            raise NumericalError(f"composed disc fails its pin check: {exc}") from None
+        composed = LiftedDisc.computed(base.c, h_new, g_new, "composed disc")
         jets_base = jet_map(base.h, order)
         jets_comp = jet_map(h_new, order)
         rec_base = jet_reconstruct(model, qfac, jets_base)

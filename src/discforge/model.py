@@ -249,10 +249,7 @@ def factor_Q(model: ModelPolynomial, circle_margin: float = 1e-8) -> QFactorizat
     # power-basis coefficients of Q/zeta, highest power first
     power = np.array([q.coeff(p) for p in range(deg, 0, -1)], dtype=complex)
     expected = k0 - d // 2
-    if deg == 1:
-        roots = np.array([], dtype=complex)
-    else:
-        roots = np.roots(power)
+    roots = np.roots(power)
     # cluster numerically coincident roots into multiplicities
     clusters: list[list[complex]] = []
     for r in sorted(roots, key=lambda v: (abs(v), v.real, v.imag)):
@@ -284,8 +281,7 @@ def factor_Q(model: ModelPolynomial, circle_margin: float = 1e-8) -> QFactorizat
             f"root split {ell0}/{len(outside)} does not match k0 - d/2 = {expected}"
         )
     # leading coefficient of zeta*s*t is (-1)^(ell0+i0); match it to Q's
-    lead = power[0] if deg >= 1 else 0.0
-    constant = complex(lead * (-1.0) ** (ell0 + len(outside)))
+    constant = complex(power[0] * (-1.0) ** (ell0 + len(outside)))
     fac = QFactorization(
         constant=constant,
         roots_inside=tuple(inside),

@@ -48,7 +48,6 @@ from .series import (
     ONE_MINUS,
     Powers,
     TrigSeries,
-    analytic_from_real_part,
     divide_one_minus_zeta,
     from_samples,
     multiply,
@@ -511,41 +510,30 @@ def kernel_basis_p0(
     Weight directions (the constant and ``2 Re zeta^n``, ``-2 Im zeta^n`` up
     to degree ``k0``) each get their induced minimal-norm ``(h, g)``
     correction by least squares; the homogeneous block is the complex span of
-    the constant and one truncated binomial tail per inside root and order,
-    with the ``g`` component completed through the boundary real-part solve.
+    the constant and one truncated binomial tail per inside root and order.
     The weight corrections are one Newton step, a right-hand-side column per
     direction, on the linearization whose rows stop at the multipliers'
     carrier: the pure model is ``u``-free and the weight columns' T2 rows
-    are zero (``-1/2 zeta^k0 2 Re zeta^n`` has no negative mode).
+    are zero (``-1/2 zeta^k0 2 Re zeta^n`` has no negative mode).  Each
+    homogeneous direction ``dh`` gets its ``g`` from the same step's lift,
+    ``dg = -G⁺ A_top dh`` (``_eliminate_g``): the harmonic conjugation that
+    fixes ``Re g`` on the boundary, as in every Newton step.
     """
     d, k0 = model.d, model.k0
     defn = DefiningFunction.pure(model)
     disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=max(8, 2 * d))
-    point = _Point.of_disc(disc)
-    op = _linearize(defn, qfac, disc.c, point, n_in, None, k0)
+    op = _linearize(defn, qfac, disc.c, _Point.of_disc(disc), n_in, None, k0)
     matrix = op.matrix
     mat, rhs, lift = _eliminate_g(matrix[:, op.hg_cols], matrix[:, op.weight_cols], n_in, op.n_out)
     sol = _h_only_step(mat, rhs, lift, threshold, 2 * k0 - d + 6)
-    weight_dirs = np.eye(2 * k0 + 1, matrix.shape[1])
-    weight_dirs[:, op.hg_cols] = sol.T
-    raw = list(weight_dirs)
-
-    rz1 = _trace(defn.rz_mon(), d, point, d)  # r_z along the base disc, times 1 - zeta
-    hom_shapes = [TrigSeries.constant(1.0).pad_to(n_in)]
-    for root, mult in qfac.roots_inside:
-        for order in range(mult):
-            hom_shapes.append(binomial_tail(root, order, n_in))
-    for shape in hom_shapes:
-        for phase in (1.0, 1.0j):
-            ht = shape * phase
-            prod = multiply(rz1, ht)
-            realpart = prod + prod.conjugate()
-            gprime = analytic_from_real_part(TrigSeries.real_symmetrized(realpart.coeffs))
-            gt = divide_one_minus_zeta(gprime).truncate(n_in)
-            vec = np.zeros(matrix.shape[1])
-            vec[op.hg_cols] = pack_series(ht, gt.pad_to(n_in), n_in)
-            raw.append(vec)
-
+    shapes = [TrigSeries.constant(1.0)]
+    shapes += [binomial_tail(root, order, n_in) for root, mult in qfac.roots_inside for order in range(mult)]
+    zero = TrigSeries.zero(0)
+    dh = np.array([pack_series(s * phase, zero, n_in)[: 2 * (n_in + 1)] for s in shapes for phase in (1.0, 1.0j)])
+    raw = np.zeros((2 * k0 + 1 + len(dh), matrix.shape[1]))
+    raw[: 2 * k0 + 1, op.weight_cols] = np.eye(2 * k0 + 1)
+    # a homogeneous direction's dg is the lift of a step with no residual: -G⁺ A_top dh
+    raw[:, op.hg_cols] = np.vstack([sol.T, np.hstack([dh, -dh @ lift[0].T])])
     coords = np.array([v / np.linalg.norm(v) for v in raw])
     residuals = tuple(float(np.max(np.abs(matrix @ v))) for v in coords)
     # unit vectors against entries of up to hundreds: the gate scales with
@@ -849,12 +837,13 @@ def solve_newton(
     re-checked with the plain substitution residual; an iterate whose ``h``
     or ``g`` has not decayed within the truncation is reported as such, also
     where the line search fails, and a final disc that fails ``LiftedDisc``'s
-    pin check is a ``NumericalError``.  A reduced residual in ``[inner_tol,
-    tol)`` is the truncation's floor when ``STALL_STEPS`` accepted steps in a
-    row each leave it above ``STALL_FACTOR`` of the previous one, or when the
-    line search fails from it: the solve then stops with a
-    ``NumericalError`` naming the level, N and the coefficient tails
-    (``_truncation_floor``).  Above ``tol`` both keep their own messages.
+    checks is a ``NumericalError`` (``LiftedDisc.computed``).  A reduced
+    residual in ``[inner_tol, tol)`` is the truncation's floor when
+    ``STALL_STEPS`` accepted steps in a row each leave it above
+    ``STALL_FACTOR`` of the previous one, or when the line search fails from
+    it: the solve then stops with a ``NumericalError`` naming the level, N
+    and the coefficient tails (``_truncation_floor``).  Above ``tol`` both
+    keep their own messages.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -920,10 +909,7 @@ def solve_newton(
             _truncation_floor(point, history[-1], inner_tol, n_in)
 
     _check_decay(point)
-    try:
-        disc = LiftedDisc(c, point.h, point.g)
-    except ConfigError as exc:  # the computed disc, not the input, fails the check
-        raise NumericalError(f"computed disc fails its pin check: {exc}") from None
+    disc = LiftedDisc.computed(c, point.h, point.g, "computed disc")
     res = stationarity_residual(disc, r)
     converged = history[-1] < inner_tol and max(res) < opts.tol
     if not converged:

@@ -279,16 +279,23 @@ def test_non_finite_config_numbers_exit_2(tmp_path):
 
 
 def test_overflowing_runs_exit_1_and_write_only_the_manifest(tmp_path):
-    # finite inputs the validators accept whose numbers overflow: a numerical
-    # failure, and no artifact holding NaN or Infinity
+    # accepted inputs whose numbers fail their gates: a numerical failure, and
+    # no artifact holding NaN or Infinity.  The d=8, k0=7 model disc at
+    # |b| = 0.49 has the weight (1 - 2|b|)^7 = 1.3e-12, under the positivity gate
+    d8k7 = {"d": 8, "k0": 7, "alpha": [{"j": 4, "re": 1.0, "im": 0.0}, {"j": 7, "re": 0.05, "im": 0.0}]}
+    near_half = {"disc": {"b": [0.49, 0.0], "v": [1.0, 0.0]}}
+    identity8 = {"d": 8, "H1": [[1, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
     cases = [
         ("disc", {"model": Z4_MODEL, "solver": {"N": 32}, "params": {"disc": {"b": [0.49, 0.0], "v": [1e80, 0.0]}}}),
         ("residual", {"model": Z4_MODEL, "solver": {"N": 32}, "params": {"disc": {"b": [0.1, 0.0], "v": [1e200, 0.0]}}}),
         ("gap", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": 1e300, "im": 0.0}]}}),
+        ("residual", {"model": d8k7, "solver": {"N": 32}, "params": near_half}),
+        ("solve", {"model": d8k7, "solver": {"N": 32}, "params": near_half}),
+        ("determine", {"model": d8k7, "solver": {"N": 32}, "params": {"map": identity8, "b_values": [[0.49, 0]]}}),
     ]
     for k, (command, config) in enumerate(cases):
         rc, out = _run(tmp_path, command, config, name=f"o{k}.json")
-        assert rc == 1, command
+        assert rc == 1, (command, config)
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "numerical_failure" and manifest["files"] == []

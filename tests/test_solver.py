@@ -624,10 +624,17 @@ def test_kernel_gate_scales_with_the_matrix(monkeypatch):
     basis = kernel_basis_p0(model, qfac)
     assert basis.dim == 4 * model.k0 - model.d + 3
     assert 1e-9 < max(basis.residuals)
-    # a g component nudged by 1e-3 zeta off the kernel still fails the gate
-    exact = solver.analytic_from_real_part
-    nudge = TrigSeries.from_mode_dict({1: 1e-3, 2: -1e-3})
-    monkeypatch.setattr(solver, "analytic_from_real_part", lambda p: exact(p) + nudge)
+    # a g component nudged by 1e-3 zeta off the kernel still fails the gate:
+    # every column of G⁺ y gains 1e-3 on the real part of gt's mode 1, so the
+    # lift dg = -G⁺ A_top dh of each direction moves by a multiple of zeta
+    exact = solver._g_pinv
+
+    def nudged(y, n_in):
+        out = exact(y, n_in)
+        out[2] += 1e-3
+        return out
+
+    monkeypatch.setattr(solver, "_g_pinv", nudged)
     with pytest.raises(NumericalError, match="fails to annihilate"):
         kernel_basis_p0(model, qfac)
 
