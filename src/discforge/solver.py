@@ -12,13 +12,14 @@ The structural zero of order ``d - 1`` at ``zeta = 1`` is cancelled
 symbolically: with ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` and
 ``conj(1 - zeta) = -conj(zeta) (1 - zeta)`` every monomial ``z^a zbar^b u^e``
 of a derivative of ``r`` contributes a clean power ``(1 - zeta)^(a+b+e)``, so
-the quotient is polynomial; only the division by ``s`` is numerical (pointwise
-on circle samples, where ``s`` does not vanish).  Every trace the operator and
-its multipliers need is this one substitution, ``_trace``, multiplied back
-by ``(1 - zeta)^extra`` (``extra = d - 1`` gives the plain trace).  Each iterate
-``(ht, gt)`` is one ``_Point``: it holds ``h``, ``g``, ``Re g`` and the one
-``series.Powers`` cache of ``1 - zeta``, ``ht``, ``conj ht`` and ``gt +
-conj(zeta gt)`` that every trace at that point reads.
+the quotient is polynomial.  The division by ``s`` stays in coefficient space
+too: every root ``q`` of ``s`` lies outside the closed disc, so ``1 / (q -
+zeta)`` is a one-sided geometric series in ``zeta``.  Every trace the
+operator and its multipliers need is this one substitution, ``_trace``,
+multiplied back by ``(1 - zeta)^extra`` (``extra = d - 1`` gives the plain
+trace).  Each iterate ``(ht, gt)`` is one ``_Point``: it holds ``h``, ``g``,
+``Re g`` and the one ``series.Powers`` cache of ``1 - zeta``, ``ht``, ``conj
+ht`` and ``gt + conj(zeta gt)`` that every trace at that point reads.
 
 The linearization is assembled from multiplier series and index shifts, never
 from finite differences; a difference quotient appears only in the tests as an
@@ -49,7 +50,6 @@ from .series import (
     Powers,
     TrigSeries,
     divide_one_minus_zeta,
-    from_samples,
     multiply,
 )
 
@@ -163,8 +163,10 @@ def _trace(
     point, so the quotient is exact: ``extra`` is 0 for the reduced ``r_z``, 1
     for a first-order direction of it, ``d - 1`` for the plain trace and ``d``
     for the plain trace times ``1 - zeta``.  The sum is then multiplied by
-    ``c`` (if given), shifted by ``zeta^k0`` and divided by ``s`` on circle
-    samples (if ``qfac`` has outside roots).
+    ``c`` (if given), shifted by ``zeta^k0`` and divided by ``s`` (if ``qfac``
+    has outside roots).  As ``1 / (q - zeta) = sum q^(-m-1) zeta^m`` for
+    ``|q| > 1``, mode ``m`` of a quotient reads only the modes at or below
+    ``m``: it is cut at the dividend's order, each kept mode exact to rounding.
     """
     om, ph, phb, pu = point.factored
     out = TrigSeries.zero(0)
@@ -184,16 +186,11 @@ def _trace(
     if c is not None:
         out = multiply(c, out)
     out = out.shift(k0)
-    if qfac is None or not qfac.roots_outside:
-        return out
-    n_target = out.n_max + 64  # room for the modes the division by s adds
-    k = 1 << max(8, int(math.ceil(math.log2(2 * n_target + 2))))
-    vals = out.sample(k)
-    svals = qfac.s_poly().sample(k)
-    out, tail = from_samples(vals / svals, n_target)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if tail > 1e-9 * scale:
-        raise NumericalError("sample division by s is under-resolved")
+    # no kept mode reads a lag past 2n, and lags past 39 / ln|q| weigh below e^-39
+    n = out.n_max
+    for q in qfac.roots_outside if qfac is not None else ():
+        lags = min(2 * n, math.ceil(39 / math.log(abs(q))))
+        out = multiply(out, TrigSeries.geometric(1 / q, lags)).truncate(n).scale(1 / q)
     return out
 
 
@@ -316,7 +313,7 @@ def _multipliers(
 ) -> _Multipliers:
     d, k0 = defn.model.d, defn.model.k0
 
-    # T1 multipliers carry the exact cancellation and the sample division by s;
+    # T1 multipliers carry the exact cancellation and the division by s;
     # T2 and T3 are plain traces times the 1 - zeta of the direction
     m1_hlin = _trace(defn.rzz_mon(), d, point, 1, c, k0, qfac)
     m1_hanti = -_trace(defn.rzzbar_mon(), d, point, 1, c, k0, qfac).shift(-1)

@@ -14,7 +14,7 @@ from discforge.discs import (
     substitute_boundary,
 )
 from discforge.exceptions import ConfigError, NumericalError
-from discforge.model import ModelPolynomial, factor_Q
+from discforge.model import ModelPolynomial, QFactorization, factor_Q
 from discforge.perturb import DefiningFunction, PerturbationTerm
 from discforge.series import ONE_MINUS, TrigSeries, coeff_distance, divide_one_minus_zeta, multiply
 from discforge.solver import (
@@ -408,13 +408,15 @@ def _newton_row_counts(monkeypatch, d, split):
     "d, split, counts",
     [
         (4, False, [(386, 0, 387), (390, 0, 391)]),
-        (6, True, [(824, 0, 515), (824, 0, 521)]),
+        (6, True, [(514, 0, 515), (520, 0, 521)]),
     ],
 )
 def test_newton_jacobian_nonzero_rows_pinned(monkeypatch, d, split, counts):
     # the T1/T2/T3 rows of the first two Newton Jacobians that are not exactly
     # zero, for a newton_grid case at N=64: a multiplier that fills structurally
-    # zero modes with rounding noise grows every least-squares problem
+    # zero modes with rounding noise grows every least-squares problem.  The
+    # division by s keeps the structural zeros of its dividend, so with an
+    # outside root as without one, T1 stops one row below T3
     seen, _ = _newton_row_counts(monkeypatch, d, split)
     assert seen[:2] == counts
 
@@ -502,8 +504,52 @@ def test_products_convolve_only_nonzero_windows(monkeypatch):
     model = _model_d4k3()
     r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): 1e-3}),), {})
     init = model_disc(model, ModelDiscParams(0.1j, 1.0), n_max=32)
+    fft, ffts = np.fft.fft, []
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: ffts.append(1) or fft(*args, **kwargs))
     solve_newton(r, factor_Q(model), 0.1j, init, SolverOptions(n_max=32))
     assert calls and all(calls)
+    assert not ffts  # the division by s (one outside root here) stays in coefficient space
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [(1.5 * np.exp(0.3j),), (1.1 * np.exp(2.0j), -2.5j), ((1 + 1e-7) * np.exp(0.7j),), ((1 + 1e-7) * np.exp(-1.2j), 1.2)],
+)
+def test_division_by_s_is_exact_up_to_the_kept_order(monkeypatch, roots):
+    # the constant monomial's plain trace times c = x is x, so _trace returns
+    # x / s; the quotient times s gives x back on every kept mode, and a root
+    # just outside the circle cuts its kernel at the 2n lags a kept mode reads
+    d, n = 4, 24
+    rng = np.random.default_rng(len(roots))
+    x = TrigSeries(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1))
+    qfac = QFactorization(constant=1.0, roots_inside=(), roots_outside=roots)
+    point = _Point(TrigSeries.zero(), TrigSeries.zero())
+    geometric, lags = TrigSeries.geometric, []
+
+    def recording(ratio, n_max):
+        lags.append(n_max)
+        return geometric(ratio, n_max)
+
+    monkeypatch.setattr(TrigSeries, "geometric", recording)
+    quotient = _trace({(0, 0, 0): 1.0}, d, point, d - 1, x, 0, qfac)
+    assert quotient.n_max == n
+    assert len(lags) == len(roots) and all(lag <= 2 * n for lag in lags)
+    back = multiply(quotient, qfac.s_poly()).truncate(n)
+    assert coeff_distance(back, x) <= 1e-13 * float(np.max(np.abs(x.coeffs)))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.2])
+def test_newton_converges_with_an_outside_root_near_the_circle(b):
+    # model_survey's m152 (d=4, k0=3): 1/s decays only by 1/|q| = 0.94 per
+    # mode, far past N=64, yet every mode the solve reads is exact
+    model = ModelPolynomial.from_upper(4, 3, {2: 2.077152838462987, 3: -1.0903275387821865 + 0.8494329612641656j})
+    qfac = factor_Q(model)
+    assert [round(abs(q), 4) for q in qfac.roots_outside] == [1.0634]
+    assert [round(abs(r), 4) for r, _ in qfac.roots_inside] == [0.9404]
+    init = model_disc(model, ModelDiscParams(b, 1.0), n_max=64)
+    res = solve_newton(_pure(model), qfac, b, init, SolverOptions(n_max=64))
+    assert res.converged
+    assert max(res.stationarity) <= 1e-13
 
 
 @pytest.mark.parametrize(
