@@ -156,6 +156,7 @@ def _trace(
     c: TrigSeries | None = None,
     k0: int = 0,
     qfac: QFactorization | None = None,
+    keep: int = 0,
 ) -> TrigSeries:
     """Trace of ``mon`` along ``point``, divided by ``(1 - zeta)^(d - 1 - extra)``.
 
@@ -166,7 +167,7 @@ def _trace(
     ``c`` (if given), shifted by ``zeta^k0`` and divided by ``s`` (if ``qfac``
     has outside roots).  As ``1 / (q - zeta) = sum q^(-m-1) zeta^m`` for
     ``|q| > 1``, mode ``m`` of a quotient reads only the modes at or below
-    ``m``: it is cut at the dividend's order, each kept mode exact to rounding.
+    ``m``: it is kept to ``max(n, keep)``, ``n`` the dividend's order, and exact.
     """
     om, ph, phb, pu = point.factored
     out = TrigSeries.zero(0)
@@ -186,11 +187,11 @@ def _trace(
     if c is not None:
         out = multiply(c, out)
     out = out.shift(k0)
-    # no kept mode reads a lag past 2n, and lags past 39 / ln|q| weigh below e^-39
-    n = out.n_max
+    # no kept mode reads a lag past top + n, and lags past 39 / ln|q| weigh below e^-39
+    n, top = out.n_max, max(out.n_max, keep)
     for q in qfac.roots_outside if qfac is not None else ():
-        lags = min(2 * n, math.ceil(39 / math.log(abs(q))))
-        out = multiply(out, TrigSeries.geometric(1 / q, lags)).truncate(n).scale(1 / q)
+        lags = min(top + n, math.ceil(39 / math.log(abs(q))))
+        out = multiply(out, TrigSeries.geometric(1 / q, lags)).truncate(top).scale(1 / q)
     return out
 
 
@@ -309,15 +310,16 @@ class _Multipliers:
 
 
 def _multipliers(
-    defn: DefiningFunction, qfac: QFactorization, c: TrigSeries, point: _Point, with_weight: bool
+    defn: DefiningFunction, qfac: QFactorization, c: TrigSeries, point: _Point, n_in: int, n_weight: int | None
 ) -> _Multipliers:
     d, k0 = defn.model.d, defn.model.k0
+    keep = max(n_in, n_weight or 0)  # no column reads a quotient by s past this mode
 
     # T1 multipliers carry the exact cancellation and the division by s;
     # T2 and T3 are plain traces times the 1 - zeta of the direction
-    m1_hlin = _trace(defn.rzz_mon(), d, point, 1, c, k0, qfac)
-    m1_hanti = -_trace(defn.rzzbar_mon(), d, point, 1, c, k0, qfac).shift(-1)
-    m1_g = _trace(d_u(defn.rz_mon()), d, point, 1, c, k0, qfac) * (-0.5j)
+    m1_hlin = _trace(defn.rzz_mon(), d, point, 1, c, k0, qfac, keep)
+    m1_hanti = -_trace(defn.rzzbar_mon(), d, point, 1, c, k0, qfac, keep).shift(-1)
+    m1_g = _trace(d_u(defn.rz_mon()), d, point, 1, c, k0, qfac, keep) * (-0.5j)
 
     m2_hlin = _trace(defn.rzw_mon(), d, point, d, c, k0)
     m2_hanti = -_trace(defn.rwzbar_mon(), d, point, d, c, k0).shift(-1)
@@ -328,9 +330,9 @@ def _multipliers(
     m3_glin = _trace(d_u(defn.big_r_mon()), d, point, d) * (-0.5j) - ONE_MINUS * 0.5
 
     weight = None
-    if with_weight:
+    if n_weight is not None:
         weight = (
-            _trace(defn.rz_mon(), d, point, 0, k0=k0, qfac=qfac),
+            _trace(defn.rz_mon(), d, point, 0, k0=k0, qfac=qfac, keep=keep),
             _trace(defn.rw_mon(), d, point, d - 1, k0=k0),
         )
     return _Multipliers(
@@ -386,7 +388,7 @@ def _linearize(
     (``_carrier_n_out``), at most the formal ``_default_n_out``; the result's
     ``n_out`` says where.
     """
-    mults = _multipliers(defn, qfac, c, point, with_weight=n_weight is not None)
+    mults = _multipliers(defn, qfac, c, point, n_in, n_weight)
     if n_out is None:
         formal = _default_n_out(defn.model.d, defn.model.k0, n_in)
         n_out = _carrier_n_out(mults, n_in, n_weight, formal)

@@ -237,6 +237,22 @@ def test_linearization_matches_finite_differences_perturbed():
     assert np.max(np.abs(op.matrix - fd)) < 1e-6
 
 
+def test_linearization_matches_finite_differences_past_the_disc_order():
+    # the base disc of a perturbed m152 (|q| = 1.063) has order 8, yet the
+    # columns up to n_in read the anti multipliers' 1/s tails up to mode n_in
+    model = ModelPolynomial.from_upper(4, 3, {2: 2.077152838462987, 3: -1.0903275387821865 + 0.8494329612641656j})
+    qfac = factor_Q(model)
+    assert len(qfac.roots_outside) == 1
+    r = DefiningFunction(model, (PerturbationTerm(3, 2, 0, {(0, 0): 0.01}),), {})
+    disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=8)
+    n_in, n_out, n_weight = 24, 40, model.k0
+    op = linearize_at(r, disc, qfac, n_in=n_in, n_out=n_out, n_weight=n_weight)
+    ht = divide_one_minus_zeta(disc.h).pad_to(n_in)
+    gt = divide_one_minus_zeta(disc.g).pad_to(n_in)
+    fd = _fd_matrix(r, qfac, disc.c, ht, gt, n_in, n_out, n_weight)
+    assert np.max(np.abs(op.matrix - fd)) < 1e-6
+
+
 def test_linearized_columns_at_base_frozen():
     # at the base disc of |z|^4 the first functional responds to the degree-1
     # direction of the inner factor of h with exactly 4 zetabar, and to the
@@ -331,7 +347,7 @@ def test_assembly_matches_per_column_reference(l, with_weight):
     n_in, n_out = 12, _default_n_out(4, 3, 12)
     n_weight = r.model.k0 if with_weight else None
     op = _linearize(r, qfac, c, _Point(ht, gt), n_in, n_out, n_weight)
-    mults = _multipliers(r, qfac, c, _Point(ht, gt), with_weight)
+    mults = _multipliers(r, qfac, c, _Point(ht, gt), n_in, n_weight)
     assert np.array_equal(op.matrix, _linearize_reference(mults, n_in, n_out, n_weight))
     val = _operator_value(r, qfac, c, _Point(ht, gt))
     for n in (5, n_out):  # truncating and padding the value series
@@ -515,11 +531,14 @@ def test_products_convolve_only_nonzero_windows(monkeypatch):
     "roots",
     [(1.5 * np.exp(0.3j),), (1.1 * np.exp(2.0j), -2.5j), ((1 + 1e-7) * np.exp(0.7j),), ((1 + 1e-7) * np.exp(-1.2j), 1.2)],
 )
-def test_division_by_s_is_exact_up_to_the_kept_order(monkeypatch, roots):
+@pytest.mark.parametrize("keep", [0, 40])
+def test_division_by_s_is_exact_up_to_the_kept_order(monkeypatch, roots, keep):
     # the constant monomial's plain trace times c = x is x, so _trace returns
-    # x / s; the quotient times s gives x back on every kept mode, and a root
-    # just outside the circle cuts its kernel at the 2n lags a kept mode reads
+    # x / s, kept to max(n, keep); the quotient times s gives x back on every
+    # kept mode, and a root just outside the circle cuts its kernel at the
+    # max(n, keep) + n lags a kept mode reads
     d, n = 4, 24
+    top = max(n, keep)
     rng = np.random.default_rng(len(roots))
     x = TrigSeries(rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1))
     qfac = QFactorization(constant=1.0, roots_inside=(), roots_outside=roots)
@@ -531,10 +550,10 @@ def test_division_by_s_is_exact_up_to_the_kept_order(monkeypatch, roots):
         return geometric(ratio, n_max)
 
     monkeypatch.setattr(TrigSeries, "geometric", recording)
-    quotient = _trace({(0, 0, 0): 1.0}, d, point, d - 1, x, 0, qfac)
-    assert quotient.n_max == n
-    assert len(lags) == len(roots) and all(lag <= 2 * n for lag in lags)
-    back = multiply(quotient, qfac.s_poly()).truncate(n)
+    quotient = _trace({(0, 0, 0): 1.0}, d, point, d - 1, x, 0, qfac, keep)
+    assert quotient.n_max == top
+    assert len(lags) == len(roots) and all(lag <= top + n for lag in lags)
+    back = multiply(quotient, qfac.s_poly()).truncate(top)
     assert coeff_distance(back, x) <= 1e-13 * float(np.max(np.abs(x.coeffs)))
 
 
