@@ -352,14 +352,18 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     status, error, texts = "ok", None, {}
+    # an overflow or NaN is reported once, by the non-finite gate that meets
+    # it, as a config or numerical error; numpy's own warning would only leak
+    # to stderr ahead of that report
     try:
-        try:
-            with malformed("malformed JSON"):
-                raw = json.loads(Path(args.config).read_text(), parse_float=_finite, parse_constant=_finite)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {args.config}: {exc}") from None
-        cfg = RunConfig.from_dict(raw, args.command)
-        files = _COMMANDS[args.command](cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                with malformed("malformed JSON"):
+                    raw = json.loads(Path(args.config).read_text(), parse_float=_finite, parse_constant=_finite)
+            except OSError as exc:
+                raise ConfigError(f"cannot read {args.config}: {exc}") from None
+            cfg = RunConfig.from_dict(raw, args.command)
+            files = _COMMANDS[args.command](cfg)
         texts = {name: _render(name, payload) for name, payload in files.items()}
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -215,8 +215,13 @@ def stationarity_residual(
 
     The first two are the negative-frequency parts of ``zeta^k0 c r_z(f)``
     and ``zeta^k0 c r_w(f)``, the third is the boundary trace of ``r(f)``
-    itself.  ``k0`` defaults to the model's exponent; passing another value
-    probes how the defect detects a wrong weight.
+    itself.  Each sup norm is sampled (``TrigSeries.sup_norm``) on ``max(4N
+    + 4, 64)`` circle points, with ``N`` that defect's own order; so the
+    same disc carried to a different order (a composed disc kept to its
+    numerical carrier, say) is sampled on a different grid, and its
+    residual moves at the sampling error.  ``k0`` defaults to the model's
+    exponent; passing another value probes how the defect detects a wrong
+    weight.
     """
     if k0 is None:
         k0 = defn.model.k0

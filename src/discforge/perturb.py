@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import ConfigError, integer, malformed, strict_keys
 from .model import ModelPolynomial, d_u, d_z, d_zbar, eval_mon
-from .series import MAX_ORDER, Powers, TrigSeries, multiply
+from .series import CARRIER_GATE, MAX_ORDER, Powers, TrigSeries, multiply
 
 __all__ = [
     "PerturbationTerm",
@@ -341,11 +341,18 @@ def dilate_map(h: BiholoMap, t: float) -> BiholoMap:
 
 
 def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
-    """Exact polynomial composition ``H o (h, g)`` in coefficient space.
+    """Polynomial composition ``H o (h, g)`` in coefficient space, kept to its numerical carrier.
+
+    Each component is the exact composition, truncated at the disc's own order
+    ``max(h.n_max, g.n_max)`` or at its last mode above ``CARRIER_GATE`` times
+    its largest coefficient, whichever is higher.  Past the disc's order a
+    near-identity map leaves rounding-level modes (its ``z^9`` takes an
+    order-65 disc to order 576), and every later product would pay for them.
+    A composition that fits inside the disc's order (the identity, a
+    rotation) is exact to the bit.
 
     The disc boundary values must stay inside the map's domain polydisc, and
-    every monomial ``z^j w^l`` of the map must stay within ``MAX_ORDER``
-    along the disc.
+    every monomial of the map must stay within ``MAX_ORDER`` along the disc.
     """
     h, g = disc.h, disc.g
     if math.isfinite(h_map.domain_radius):
@@ -356,10 +363,13 @@ def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
     if order > MAX_ORDER:
         raise ConfigError(f"the map composed with the disc has order {order} > MAX_ORDER={MAX_ORDER}")
     ph, pg = Powers(h), Powers(g)
+    n_disc = max(h.n_max, g.n_max)
     out = []
     for mono in (h_map.h1, h_map.h2):
         acc = TrigSeries.zero(0)
         for (j, l), c in sorted(mono.items()):
             acc = acc + multiply(ph[j], pg[l]) * c
-        out.append(acc.trimmed(0.0))
+        acc = acc.trimmed(0.0)
+        gate = CARRIER_GATE * float(np.max(np.abs(acc.coeffs)))
+        out.append(acc.truncate(max(n_disc, acc.trimmed(gate).n_max)))
     return out[0], out[1]

@@ -26,6 +26,11 @@ __all__ = [
 # Hard cap on truncation order; anything larger is a bug upstream.
 MAX_ORDER = 1 << 16
 
+# A coefficient at most this fraction of the largest one in its series is
+# rounding noise: the numerical carrier of a series ends at its last mode above
+# the gate.  The solver's Jacobian rows and the composed disc both stop there.
+CARRIER_GATE = np.finfo(float).eps
+
 
 def _as_coeff_array(coeffs) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=complex)
@@ -126,7 +131,7 @@ class TrigSeries:
     def trimmed(self, tol: float = 0.0) -> "TrigSeries":
         """Shrink the carrier to the smallest window holding all modes > tol and every non-finite mode."""
         k = self.n_max
-        mask = ~(np.abs(self.coeffs) <= tol)
+        mask = ~(np.abs(self.coeffs) <= tol) | np.isinf(self.coeffs)
         if not mask.any():
             return TrigSeries.zero()
         idx = np.nonzero(mask)[0]

@@ -46,6 +46,7 @@ from .exceptions import ConfigError, NumericalError, integer, malformed, strict_
 from .model import QFactorization, d_u
 from .perturb import DefiningFunction, x_norm_distance
 from .series import (
+    CARRIER_GATE,
     ONE_MINUS,
     Powers,
     TrigSeries,
@@ -342,14 +343,11 @@ def _multipliers(
     )
 
 
-# A multiplier coefficient at most this fraction of the largest one is rounding
-# noise, and so is every Jacobian entry made of it.  Rows that only such
-# coefficients reach change the least-squares step and the singular values at
-# rounding level, so every Jacobian stops at the last row a larger coefficient
-# reaches.
-CARRIER_GATE = np.finfo(float).eps
-
-
+# A multiplier coefficient at most ``CARRIER_GATE`` of the largest one is
+# rounding noise, and so is every Jacobian entry made of it.  Rows that only
+# such coefficients reach change the least-squares step and the singular values
+# at rounding level, so every Jacobian stops at the last row a larger
+# coefficient reaches.
 def _carrier_n_out(mults: _Multipliers, n_in: int, n_weight: int | None, n_out: int) -> int:
     """Largest row mode any multiplier coefficient above the gate reaches, at most ``n_out``.
 

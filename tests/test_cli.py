@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,32 @@ def test_overflowing_runs_exit_1_and_write_only_the_manifest(tmp_path):
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "numerical_failure" and manifest["files"] == []
+
+
+def test_failing_runs_report_without_numpy_warnings(tmp_path, capsys):
+    # the non-finite gates are the only report of an overflow: an accepted
+    # input that overflows exits 1 and a map that does exits 2, with no numpy
+    # RuntimeWarning ahead of the message
+    z5_map = {"d": 4, "H1": [[1, 0, 1.0, 0.0], [5, 0, 1e300, 0.0]], "H2": [[0, 1, 1.0, 0.0]]}
+    cases = [
+        ("gap", {"model": {"d": 4, "k0": 2, "alpha": [{"j": 2, "re": 1e300, "im": 0.0}]}}, 1),
+        ("disc", {"model": Z4_MODEL, "solver": {"N": 32}, "params": {"disc": {"b": [0.49, 0.0], "v": [1e80, 0.0]}}}, 1),
+        ("determine", {"model": Z4_MODEL, "solver": {"N": 32},
+                       "params": {"map": z5_map, "t": 0.5, "b_values": [[0.1, 0]]}}, 2),
+    ]
+    for k, (command, config, code) in enumerate(cases):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out = _run(tmp_path, command, config, name=f"w{k}.json")
+        err = capsys.readouterr().err
+        assert rc == code, (command, err)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (command, caught)
+        assert "RuntimeWarning" not in err
+        if code == 1:
+            assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        else:
+            assert not out.exists()
 
 
 def test_run_config_reads_typed_params():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discforge.discs import ModelDiscParams, model_disc
+from discforge.discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual
 from discforge.exceptions import ConfigError
-from discforge.model import ModelPolynomial
+from discforge.model import ModelPolynomial, factor_Q
 from discforge.perturb import (
     BiholoMap,
     DefiningFunction,
@@ -18,7 +18,8 @@ from discforge.perturb import (
     dilate_map,
     x_norm_distance,
 )
-from discforge.series import TrigSeries, coeff_distance, multiply
+from discforge.series import CARRIER_GATE, Powers, TrigSeries, coeff_distance, multiply
+from discforge.solver import SolverOptions, solve_newton
 
 
 def _abs4():
@@ -252,6 +253,65 @@ def test_compose_disc_checks_the_domain_of_a_large_disc():
     h_new, g_new = compose_disc(wide, disc)
     assert coeff_distance(h_new, disc.h.trimmed()) == 0.0
     assert coeff_distance(g_new, disc.g.trimmed()) == 0.0
+
+
+def _survey_map(d):
+    # the near-identity map of the benchmark's model survey
+    return BiholoMap(d, {(1, 0): 1.0, (9, 0): 1e-4}, {(0, 1): 1.0, (0, 3): 1e-4})
+
+
+def _exact_composition(h_map, disc):
+    ph, pg = Powers(disc.h), Powers(disc.g)
+    out = []
+    for mono in (h_map.h1, h_map.h2):
+        acc = TrigSeries.zero(0)
+        for (j, l), c in sorted(mono.items()):
+            acc = acc + multiply(ph[j], pg[l]) * c
+        out.append(acc.trimmed(0.0))
+    return out
+
+
+def _kept_and_dropped(kept, exact):
+    k, n = kept.n_max, exact.n_max
+    dropped = np.concatenate([exact.coeffs[: n - k], exact.coeffs[n + k + 1 :]])
+    return exact.coeffs[n - k : n + k + 1], dropped
+
+
+def test_compose_disc_keeps_the_numerical_carrier():
+    # the exact composition of this order-65 disc reaches orders 576 and 195,
+    # every mode past 65 below rounding of the largest
+    model = ModelPolynomial.from_upper(8, 4, {4: 1.0})
+    init = model_disc(model, ModelDiscParams(0.2, 1.0), n_max=64)
+    r = DefiningFunction.pure(model)
+    disc = solve_newton(r, factor_Q(model), 0.2, init, SolverOptions(n_max=64)).disc
+    h_map = dilate_map(_survey_map(8), 0.125)
+    h_new, g_new = compose_disc(h_map, disc)
+    h_exact, g_exact = _exact_composition(h_map, disc)
+    n_disc = max(disc.h.n_max, disc.g.n_max)
+    assert h_new.n_max <= n_disc and g_new.n_max <= n_disc
+    assert h_exact.n_max > n_disc and g_exact.n_max > n_disc
+    for new, exact in ((h_new, h_exact), (g_new, g_exact)):
+        kept, dropped = _kept_and_dropped(new, exact)
+        assert np.array_equal(kept, new.coeffs)
+        assert np.max(np.abs(dropped)) <= CARRIER_GATE * np.max(np.abs(exact.coeffs))
+    trimmed = max(stationarity_residual(LiftedDisc(disc.c, h_new, g_new), r))
+    full = max(stationarity_residual(LiftedDisc(disc.c, h_exact, g_exact), r))
+    assert abs(trimmed - full) <= 1e-3 * full
+
+
+def test_compose_disc_keeps_content_past_the_disc_order():
+    # at |b| = 0.45 the modes of h^9 and g^3 past the order-64 disc decay
+    # slowly: they stay above rounding up to modes 129 and 108
+    disc = model_disc(_abs4(), ModelDiscParams(0.45, 1.0), n_max=64)
+    disc = LiftedDisc(disc.c, disc.h, disc.g.truncate(64), validate=False)
+    h_new, g_new = compose_disc(_survey_map(4), disc)
+    h_exact, g_exact = _exact_composition(_survey_map(4), disc)
+    assert (h_new.n_max, g_new.n_max) == (129, 108)
+    assert (h_exact.n_max, g_exact.n_max) == (576, 192)
+    for new, exact in ((h_new, h_exact), (g_new, g_exact)):
+        kept, dropped = _kept_and_dropped(new, exact)
+        assert np.array_equal(kept, new.coeffs)
+        assert np.max(np.abs(dropped)) <= CARRIER_GATE * np.max(np.abs(exact.coeffs))
 
 
 @settings(max_examples=40, deadline=None)

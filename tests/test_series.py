@@ -241,6 +241,8 @@ def test_trimmed_keeps_non_finite_modes():
     assert kept.n_max == 3
     assert np.isnan(kept.coeff(3)) and np.isinf(kept.coeff(-2))
     assert TrigSeries.from_mode_dict({5: np.nan}).trimmed().n_max == 5
+    # so does a gate scaled by an infinite largest mode
+    assert TrigSeries.from_mode_dict({0: 1.0, 5: np.inf}).trimmed(np.inf).n_max == 5
 
 
 def test_analytic_from_real_part_roundtrip():
