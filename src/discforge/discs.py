@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ConfigError, NumericalError, malformed, strict_keys
 from .model import ModelPolynomial
 from .perturb import DefiningFunction
-from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part
+from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part, sum_terms
 
 __all__ = [
     "ModelDiscParams",
@@ -196,16 +196,17 @@ def substitute_boundary(mon: dict, pows: tuple[Powers, Powers, Powers]) -> TrigS
     """Boundary trace of a trivariate polynomial along ``(h, conj h, Im g)``.
 
     ``pows`` comes from ``boundary_powers(h, g)``; every substitution at the
-    same disc can share it, so each power is built once.
+    same disc can share it, so each power is built once.  The terms are added
+    into one buffer, in the order of ``mon`` (``series.sum_terms``).
     """
     ph, phb, pu = pows
-    total = TrigSeries.zero(0)
-    for (a, b, e), coeff in mon.items():
-        term = ph[a] * phb[b]
-        if e:
-            term = term * pu[e]
-        total = total + term * coeff
-    return total
+
+    def terms():
+        for (a, b, e), coeff in mon.items():
+            term = ph[a] * phb[b]
+            yield (term * pu[e] if e else term), coeff, 0
+
+    return sum_terms(terms())
 
 
 def stationarity_residual(
@@ -229,6 +230,7 @@ def stationarity_residual(
     rz = substitute_boundary(defn.rz_mon(), pows)
     rw = substitute_boundary(defn.rw_mon(), pows)
     big_r = substitute_boundary(defn.big_r_mon(), pows)
+    del pows  # the powers are the largest series here: none is held through the sampling
 
     weighted_z = (disc.c * rz).shift(k0)
     weighted_w = (disc.c * rw).shift(k0)

@@ -13,6 +13,7 @@ disc drifts from the original in residual, jet, and coefficient distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,7 +91,18 @@ def jet_matrix(model: ModelPolynomial, qfac: QFactorization) -> JetMatrix:
     ``r`` of multiplicity ``m``, the tails ``(1-zeta)/(1-conj(r) zeta)^(i+1)``
     for ``i < m``.  Writing ``v = (1-zeta) u`` turns every derivative at 1
     into ``v^(n)(1) = -n u^(n-1)(1)``, which has a closed form per column.
+    The matrix depends on ``qfac`` alone; it is built once per factorization
+    (the last one is kept), and its arrays are read-only.
     """
+    return _jet_matrix(qfac)
+
+
+# A jet round trip and a determination experiment read one factorization's
+# jet matrix and jet basis several times.  Each cache keeps the last
+# factorization's only: a basis (up to 2^16 modes per tail) goes as soon as
+# another factorization asks.
+@functools.lru_cache(maxsize=1)
+def _jet_matrix(qfac: QFactorization) -> JetMatrix:
     size = qfac.ell0 + 2
     for root, _ in qfac.roots_inside:
         if abs(1 - root) < 1e-6:
@@ -131,7 +143,7 @@ def jet_matrix(model: ModelPolynomial, qfac: QFactorization) -> JetMatrix:
     row_norms = float(np.prod(np.linalg.norm(raw, axis=1)))
     if abs(det) <= 1e-12 * row_norms:
         raise NumericalError("jet matrix numerically singular: model anomaly")
-    return JetMatrix(
+    out = JetMatrix(
         n=size,
         entries=raw,
         determinant=det,
@@ -140,6 +152,9 @@ def jet_matrix(model: ModelPolynomial, qfac: QFactorization) -> JetMatrix:
         reduced_determinant=complex(np.linalg.det(reduced)),
         scale=scale,
     )
+    raw.setflags(write=False)
+    reduced.setflags(write=False)
+    return out
 
 
 def _tail_truncation(qfac: QFactorization, size: int) -> int:
@@ -154,8 +169,21 @@ def _tail_truncation(qfac: QFactorization, size: int) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=1)
+def _jet_basis(qfac: QFactorization) -> tuple[TrigSeries, ...]:
+    """The series of ``jet_matrix``'s columns: ``(1-zeta)``, ``(1-zeta) zeta`` and the truncated tails."""
+    n_tail = _tail_truncation(qfac, qfac.ell0 + 2)
+    basis = [ONE_MINUS, multiply(ONE_MINUS, TrigSeries.from_mode_dict({1: 1.0}))]
+    for root, mult in qfac.roots_inside:
+        basis += [multiply(ONE_MINUS, binomial_tail(root, i, n_tail)) for i in range(mult)]
+    return tuple(basis)
+
+
 def jet_reconstruct(model: ModelPolynomial, qfac: QFactorization, jets) -> TrigSeries:
-    """The unique element of the basis span whose jet at 1 is ``jets``."""
+    """The unique element of the basis span whose jet at 1 is ``jets``.
+
+    Like the jet matrix, the basis series are built once per factorization.
+    """
     jm = jet_matrix(model, qfac)
     jets = np.asarray(jets, dtype=complex)
     if jets.shape != (jm.n,):
@@ -164,14 +192,10 @@ def jet_reconstruct(model: ModelPolynomial, qfac: QFactorization, jets) -> TrigS
         coeffs = np.linalg.solve(jm.entries, jets)
     except np.linalg.LinAlgError:
         raise NumericalError("jet matrix singular") from None
-    n_tail = _tail_truncation(qfac, jm.n)
-    out = ONE_MINUS * coeffs[0]
-    out = out + multiply(ONE_MINUS, TrigSeries.from_mode_dict({1: 1.0})) * coeffs[1]
-    col = 2
-    for root, mult in qfac.roots_inside:
-        for i in range(mult):
-            out = out + multiply(ONE_MINUS, binomial_tail(root, i, n_tail)) * coeffs[col]
-            col += 1
+    basis = _jet_basis(qfac)
+    out = basis[0] * coeffs[0]
+    for shape, coef in zip(basis[1:], coeffs[1:]):
+        out = out + shape * coef
     return out.trimmed(0.0)
 
 
@@ -294,8 +318,10 @@ def determination_experiment(
         composed = LiftedDisc.computed(base.c, h_new, g_new, "composed disc")
         jets_base = jet_map(base.h, order)
         jets_comp = jet_map(h_new, order)
-        rec_base = jet_reconstruct(model, qfac, jets_base)
-        rec_comp = jet_reconstruct(model, qfac, jets_comp)
+        # no reconstruction is held through the composed residual's products
+        aligned = coeff_distance(
+            jet_reconstruct(model, qfac, jets_comp), jet_reconstruct(model, qfac, jets_base)
+        )
         runs.append(
             {
                 "b": _pair(b),
@@ -305,7 +331,7 @@ def determination_experiment(
                 "jet_base": [_pair(v) for v in jets_base],
                 "jet_composed": [_pair(v) for v in jets_comp],
                 "jet_distance": float(np.max(np.abs(jets_comp - jets_base))),
-                "aligned_distance": float(coeff_distance(rec_comp, rec_base)),
+                "aligned_distance": float(aligned),
                 "disc_distance": float(
                     max(coeff_distance(h_new, base.h), coeff_distance(g_new, base.g))
                 ),

@@ -19,8 +19,10 @@ tangency order of ``H`` is the lowest weighted degree of ``H - Id`` minus 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,6 +97,20 @@ def _theta_dict(terms, theta1) -> dict:
     return out
 
 
+def _view(build):
+    """A monomial view of a ``DefiningFunction``, built once per instance and returned read-only."""
+    key = "_" + build.__name__
+
+    @functools.wraps(build)
+    def view(self):
+        cache = self.__dict__
+        if key not in cache:
+            cache[key] = MappingProxyType(build(self))
+        return cache[key]
+
+    return view
+
+
 @dataclass(frozen=True)
 class DefiningFunction:
     """``r = -Re w + P + theta`` with polynomial higher-order block."""
@@ -141,6 +157,7 @@ class DefiningFunction:
     def theta_mon(self) -> dict:
         return _theta_dict(self.terms, self.theta1)
 
+    @_view
     def big_r_mon(self) -> dict:
         """Model plus theta: everything except the ``-Re w`` part."""
         out = dict(self.theta_mon())
@@ -152,23 +169,29 @@ class DefiningFunction:
     # w = s + i u the chain rule gives d/dw = (1/2) d/ds - (i/2) d/du and the
     # ``-Re w`` part contributes the constants.
 
+    @_view
     def rz_mon(self) -> dict:
         return d_z(self.big_r_mon())
 
+    @_view
     def rw_mon(self) -> dict:
         out = _scaled(d_u(self.big_r_mon()), -0.5j)
         out[(0, 0, 0)] = out.get((0, 0, 0), 0.0 + 0.0j) - 0.5
         return out
 
+    @_view
     def rzz_mon(self) -> dict:
         return d_z(d_z(self.big_r_mon()))
 
+    @_view
     def rzzbar_mon(self) -> dict:
         return d_zbar(d_z(self.big_r_mon()))
 
+    @_view
     def rzw_mon(self) -> dict:
         return _scaled(d_u(d_z(self.big_r_mon())), -0.5j)
 
+    @_view
     def rwzbar_mon(self) -> dict:
         return _scaled(d_u(d_zbar(self.big_r_mon())), -0.5j)
 

@@ -18,6 +18,7 @@ __all__ = [
     "TrigSeries",
     "from_samples",
     "multiply",
+    "sum_terms",
     "analytic_from_real_part",
     "divide_one_minus_zeta",
     "coeff_distance",
@@ -46,7 +47,9 @@ class TrigSeries:
     """Trigonometric polynomial ``sum c[n] zeta^n``, ``n in [-N, N]``.
 
     ``coeffs`` is stored in ascending mode order ``-N .. N`` and is
-    read-only after construction.
+    read-only after construction.  The constructor validates and copies its
+    input; the package's own operations build a fresh array and hand it over
+    through ``_adopt``, which freezes it without a copy.
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -57,11 +60,33 @@ class TrigSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "TrigSeries":
+        """The series of a 1-d complex array of odd length that nothing else writes to, frozen in place."""
+        if arr.size > 2 * MAX_ORDER + 1:
+            raise ValueError(f"series order exceeds MAX_ORDER={MAX_ORDER}")
+        arr.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__["coeffs"] = arr
+        return out
+
+    @property
+    def window(self) -> tuple[int, int] | None:
+        """Index range ``[lo, hi)`` of ``coeffs`` from the first to the last nonzero coefficient.
+
+        Computed on first use and kept; ``None`` for the zero series.
+        """
+        cache = self.__dict__
+        if "_window" not in cache:
+            idx = self.coeffs.nonzero()[0]
+            cache["_window"] = (int(idx[0]), int(idx[-1]) + 1) if idx.size else None
+        return cache["_window"]
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n_max: int = 0) -> "TrigSeries":
-        return cls(np.zeros(2 * n_max + 1, dtype=complex))
+        return cls._adopt(np.zeros(2 * n_max + 1, dtype=complex))
 
     @classmethod
     def constant(cls, value: complex) -> "TrigSeries":
@@ -73,7 +98,7 @@ class TrigSeries:
         k = abs(int(n))
         arr = np.zeros(2 * k + 1, dtype=complex)
         arr[k + n] = value
-        return cls(arr)
+        return cls._adopt(arr)
 
     @classmethod
     def from_mode_dict(cls, modes: dict[int, complex]) -> "TrigSeries":
@@ -83,7 +108,7 @@ class TrigSeries:
         arr = np.zeros(2 * k + 1, dtype=complex)
         for n, v in modes.items():
             arr[k + int(n)] += v
-        return cls(arr)
+        return cls._adopt(arr)
 
     @classmethod
     def geometric(cls, ratio: complex, n_max: int) -> "TrigSeries":
@@ -92,14 +117,14 @@ class TrigSeries:
             raise ValueError("geometric ratio must have modulus < 1")
         arr = np.zeros(2 * n_max + 1, dtype=complex)
         arr[n_max:] = ratio ** np.arange(n_max + 1)
-        return cls(arr)
+        return cls._adopt(arr)
 
     @classmethod
     def real_symmetrized(cls, coeffs) -> "TrigSeries":
         """Enforce ``c[n] = conj(c[-n])`` exactly by Hermitian averaging."""
-        arr = _as_coeff_array(coeffs).copy()
+        arr = _as_coeff_array(coeffs)
         arr = 0.5 * (arr + np.conj(arr[::-1]))
-        return cls(arr)
+        return cls._adopt(arr)
 
     # ---- basic structure ----------------------------------------------
 
@@ -117,16 +142,18 @@ class TrigSeries:
         k = self.n_max
         if n_max < k:
             raise ValueError("pad_to cannot shrink; use truncate")
+        if n_max == k:
+            return self
         arr = np.zeros(2 * n_max + 1, dtype=complex)
         arr[n_max - k : n_max + k + 1] = self.coeffs
-        return TrigSeries(arr)
+        return TrigSeries._adopt(arr)
 
     def truncate(self, n_max: int) -> "TrigSeries":
         """Drop modes with ``|n| > n_max`` (no renormalization)."""
         k = self.n_max
         if n_max >= k:
             return self
-        return TrigSeries(self.coeffs[k - n_max : k + n_max + 1])
+        return TrigSeries._adopt(self.coeffs[k - n_max : k + n_max + 1])
 
     def trimmed(self, tol: float = 0.0) -> "TrigSeries":
         """Shrink the carrier to the smallest window holding all modes > tol and every non-finite mode."""
@@ -153,17 +180,17 @@ class TrigSeries:
 
     def __add__(self, other: "TrigSeries") -> "TrigSeries":
         k = max(self.n_max, other.n_max)
-        return TrigSeries(self.pad_to(k).coeffs + other.pad_to(k).coeffs)
+        return TrigSeries._adopt(self.pad_to(k).coeffs + other.pad_to(k).coeffs)
 
     def __sub__(self, other: "TrigSeries") -> "TrigSeries":
         k = max(self.n_max, other.n_max)
-        return TrigSeries(self.pad_to(k).coeffs - other.pad_to(k).coeffs)
+        return TrigSeries._adopt(self.pad_to(k).coeffs - other.pad_to(k).coeffs)
 
     def __neg__(self) -> "TrigSeries":
-        return TrigSeries(-self.coeffs)
+        return TrigSeries._adopt(-self.coeffs)
 
     def scale(self, factor: complex) -> "TrigSeries":
-        return TrigSeries(self.coeffs * factor)
+        return TrigSeries._adopt(self.coeffs * factor)
 
     def __mul__(self, other):
         if isinstance(other, TrigSeries):
@@ -178,11 +205,11 @@ class TrigSeries:
         nk = k + abs(m)
         arr = np.zeros(2 * nk + 1, dtype=complex)
         arr[nk - k + m : nk + k + 1 + m] = self.coeffs
-        return TrigSeries(arr)
+        return TrigSeries._adopt(arr)
 
     def conjugate(self) -> "TrigSeries":
         """Pointwise complex conjugate on the circle: ``c[n] -> conj(c[-n])``."""
-        return TrigSeries(np.conj(self.coeffs[::-1]))
+        return TrigSeries._adopt(np.conj(self.coeffs[::-1]))
 
     # ---- projections ----------------------------------------------------
 
@@ -190,7 +217,7 @@ class TrigSeries:
         """Keep modes ``n < 0``."""
         arr = self.coeffs.copy()
         arr[self.n_max :] = 0.0
-        return TrigSeries(arr)
+        return TrigSeries._adopt(arr)
 
     # ---- evaluation -------------------------------------------------------
 
@@ -216,7 +243,9 @@ class TrigSeries:
             raise ValueError("sample count must resolve all modes")
         buf = np.zeros(num, dtype=complex)
         buf[np.arange(-self.n_max, self.n_max + 1) % num] += self.coeffs
-        return np.fft.ifft(buf) * num
+        vals = np.fft.ifft(buf)
+        vals *= num  # in place: the sup norm of a long series holds one array of samples, not two
+        return vals
 
     def sup_norm(self) -> float:
         """Max modulus over ``max(4N + 4, 64)`` circle samples."""
@@ -273,28 +302,45 @@ class Powers:
         return pows[n]
 
 
-def _nonzero_window(coeffs: np.ndarray) -> tuple[int, int] | None:
-    """Index range ``[lo, hi)`` from the first to the last nonzero coefficient."""
-    idx = np.flatnonzero(coeffs)
-    if idx.size == 0:
-        return None
-    return int(idx[0]), int(idx[-1]) + 1
-
-
 def multiply(a: TrigSeries, b: TrigSeries) -> TrigSeries:
     """Exact product on the nonzero carriers; the result carries order ``Na + Nb``.
 
     Only the windows between the first and last nonzero coefficient of each
-    factor are convolved, so the exact zeros of one-sided series (``h``, its
-    powers, ``conj h``) cost nothing; every mode outside the sum of the two
-    windows is exactly zero.
+    factor (``TrigSeries.window``) are convolved, so the exact zeros of
+    one-sided series (``h``, its powers, ``conj h``) cost nothing; every mode
+    outside the sum of the two windows is exactly zero.  The product's own
+    window is found from its coefficients, not taken as that sum: an end
+    coefficient can underflow to an exact 0, and a longer window would change
+    the length, and so the rounding, of the next product's dot products.
     """
     out = np.zeros(a.coeffs.size + b.coeffs.size - 1, dtype=complex)
-    wa, wb = _nonzero_window(a.coeffs), _nonzero_window(b.coeffs)
+    wa, wb = a.window, b.window
     if wa is not None and wb is not None:
         (lo_a, hi_a), (lo_b, hi_b) = wa, wb
         out[lo_a + lo_b : hi_a + hi_b - 1] = np.convolve(a.coeffs[lo_a:hi_a], b.coeffs[lo_b:hi_b])
-    return TrigSeries(out)
+    return TrigSeries._adopt(out)
+
+
+def sum_terms(terms) -> TrigSeries:
+    """``sum coef * series.shift(m)`` over the ``(series, coef, m)`` of ``terms``, in their order.
+
+    Each scaled term is added into one buffer, which grows (zero-padded) when
+    a term reaches past it, so every mode is the same sequence of additions
+    from 0 as a chain of ``+``; that chain also adds the exact zeros of its
+    padding, which change nothing (a sum that starts at +0 never reaches -0).
+    ``terms`` may be a generator: no term is kept once it is added.  No terms
+    give the zero series.
+    """
+    n, buf = 0, np.zeros(1, dtype=complex)
+    for series, coef, m in terms:
+        k = series.n_max
+        if k + abs(m) > n:
+            grown = np.zeros(2 * (k + abs(m)) + 1, dtype=complex)
+            grown[k + abs(m) - n : k + abs(m) + n + 1] = buf
+            n, buf = k + abs(m), grown
+        lo = n - k + m
+        buf[lo : lo + 2 * k + 1] += series.coeffs * coef
+    return TrigSeries._adopt(buf)
 
 
 def from_samples(values, n_max: int) -> tuple[TrigSeries, float]:
@@ -316,7 +362,7 @@ def from_samples(values, n_max: int) -> tuple[TrigSeries, float]:
     # np.hypot is the scalar abs() of each mode to the bit; numpy's vectorised
     # complex abs can differ from it in the last bit
     tail = float(np.max(np.hypot(aliased.real, aliased.imag))) if aliased.size else 0.0
-    return TrigSeries(spec[kept]), tail
+    return TrigSeries._adopt(spec[kept]), tail
 
 
 def analytic_from_real_part(p: TrigSeries) -> TrigSeries:
@@ -336,7 +382,7 @@ def analytic_from_real_part(p: TrigSeries) -> TrigSeries:
     arr[k] = p.coeffs[k]
     arr[k + 1 :] = 2.0 * p.coeffs[k + 1 :]
     arr[k] -= np.sum(arr)
-    return TrigSeries(arr)
+    return TrigSeries._adopt(arr)
 
 
 def divide_one_minus_zeta(a: TrigSeries, tol: float = 1e-9) -> TrigSeries:
@@ -356,7 +402,7 @@ def divide_one_minus_zeta(a: TrigSeries, tol: float = 1e-9) -> TrigSeries:
     partial = np.cumsum(a.coeffs[k:])[:-1]
     arr = np.zeros(2 * (k - 1) + 1, dtype=complex)
     arr[k - 1 :] = partial
-    return TrigSeries(arr)
+    return TrigSeries._adopt(arr)
 
 
 def coeff_distance(a: TrigSeries, b: TrigSeries) -> float:

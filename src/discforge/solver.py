@@ -52,6 +52,7 @@ from .series import (
     TrigSeries,
     divide_one_minus_zeta,
     multiply,
+    sum_terms,
 )
 
 __all__ = [
@@ -171,20 +172,22 @@ def _trace(
     ``m``: it is kept to ``max(n, keep)``, ``n`` the dividend's order, and exact.
     """
     om, ph, phb, pu = point.factored
-    out = TrigSeries.zero(0)
-    for (a, b, e), kappa in sorted(mon.items()):
-        expo = a + b + e + extra - (d - 1)
-        if expo < 0:
-            raise NumericalError("vanishing-order bookkeeping violated")
-        term = om[expo]
-        if a:
-            term = multiply(term, ph[a])
-        if b:
-            term = multiply(term, phb[b])
-        if e:
-            term = multiply(term, pu[e])
-        coef = kappa * (-1.0) ** b * (-0.5j) ** e
-        out = out + term.shift(-b) * coef
+
+    def terms():
+        for (a, b, e), kappa in sorted(mon.items()):
+            expo = a + b + e + extra - (d - 1)
+            if expo < 0:
+                raise NumericalError("vanishing-order bookkeeping violated")
+            term = om[expo]
+            if a:
+                term = multiply(term, ph[a])
+            if b:
+                term = multiply(term, phb[b])
+            if e:
+                term = multiply(term, pu[e])
+            yield term, kappa * (-1.0) ** b * (-0.5j) ** e, -b
+
+    out = sum_terms(terms())
     if c is not None:
         out = multiply(c, out)
     out = out.shift(k0)
@@ -226,7 +229,8 @@ class LinearizedOperator:
 
     Column layout: optional weight block (symbol degree ``n_weight``; real
     coordinates ``c0, Re c1, Im c1, ...``), then the analytic coefficients of
-    ``ht`` and ``gt`` as ``Re/Im`` pairs up to degree ``n_in``.  Row layout:
+    ``ht`` and ``gt`` (``ht`` alone in Newton's ``u``-free Jacobians) as
+    ``Re/Im`` pairs up to degree ``n_in``.  Row layout:
     the T1 then T2 negative modes ``-1 .. -n_out`` as ``Re/Im`` pairs, then
     the T3 modes ``0 .. n_out`` (mode 0 real).
     """
@@ -379,19 +383,24 @@ def _linearize(
     n_in: int,
     n_out: int | None,
     n_weight: int | None,
+    h_only: bool = False,
 ) -> LinearizedOperator:
     """The Jacobian at ``point`` with rows up to mode ``n_out``.
 
     With ``n_out=None`` the rows stop at the multipliers' numerical carrier
     (``_carrier_n_out``), at most the formal ``_default_n_out``; the result's
-    ``n_out`` says where.
+    ``n_out`` says where.  With ``h_only`` (for a ``u``-free ``r`` without a
+    weight block) only the ``h`` columns are assembled and the T2 rows, which
+    are then exactly zero, stay unfilled: that is all ``_eliminate_g`` reads.
+    The rows and ``n_out`` are the full Jacobian's, and so is every entry
+    it fills.
     """
     mults = _multipliers(defn, qfac, c, point, n_in, n_weight)
     if n_out is None:
         formal = _default_n_out(defn.model.d, defn.model.k0, n_in)
         n_out = _carrier_n_out(mults, n_in, n_weight, formal)
     n_wcols = 0 if n_weight is None else 2 * n_weight + 1
-    a = np.zeros((6 * n_out + 1, n_wcols + 4 * (n_in + 1)))
+    a = np.zeros((6 * n_out + 1, n_wcols + (2 if h_only else 4) * (n_in + 1)))
 
     # window positions of the T1/T2 rows (modes -1 .. -n_out) and the T3 rows
     # (modes 0 .. n_out); shifting a column by zeta^n moves them by -n
@@ -402,7 +411,9 @@ def _linearize(
 
     def add_pairs(cols, pairs, ns):
         # real direction on cols[0::2], imaginary direction on cols[1::2]
-        for (row0, idx, is_sym), (lin, anti) in zip(row_blocks, pairs):
+        for block, ((row0, idx, is_sym), (lin, anti)) in enumerate(zip(row_blocks, pairs)):
+            if h_only and block == 1:
+                continue
             up, down = _window(lin, pad)[idx - ns], _window(anti, pad)[idx + ns]
             _add_modes(a[:, cols.start : cols.stop : 2], row0, up + down, is_sym)
             _add_modes(a[:, cols.start + 1 : cols.stop : 2], row0, 1j * up - 1j * down, is_sym)
@@ -413,7 +424,8 @@ def _linearize(
         add_pairs(slice(1, n_wcols), [(m, m) for m in mults.weight], np.arange(1, n_weight + 1))
     ns = np.arange(n_in + 1)
     add_pairs(slice(n_wcols, n_wcols + 2 * (n_in + 1)), mults.h, ns)
-    add_pairs(slice(n_wcols + 2 * (n_in + 1), a.shape[1]), mults.g, ns)
+    if not h_only:
+        add_pairs(slice(n_wcols + 2 * (n_in + 1), a.shape[1]), mults.g, ns)
     return LinearizedOperator(a, n_in, n_out, n_weight)
 
 
@@ -824,7 +836,8 @@ def solve_newton(
     Each Jacobian stops at the multipliers' numerical carrier
     (``_carrier_n_out``), which leaves a problem about as tall as it is wide.
     When ``r`` does not involve ``u``, ``dg`` is eliminated in closed form
-    (``_eliminate_g``): the step factors the ``h`` columns alone and lifts
+    (``_eliminate_g``): the Jacobian is assembled on the ``h`` columns
+    alone (``_linearize``'s ``h_only``), and the step factors them and lifts
     back, so its rank cut is on the ``h``-only matrix (the same
     ``svd_threshold`` on the coupled ``[h | g]`` matrix dropped real
     directions at ``|b| = 0.45``).  A ``u``-dependent ``r`` couples the T1/T2
@@ -872,7 +885,7 @@ def solve_newton(
         return inner_tol <= level < opts.tol
 
     while history[-1] >= inner_tol and iterations < opts.max_iter:
-        op = _linearize(r, qfac, c, point, n_in, None, n_weight=None)
+        op = _linearize(r, qfac, c, point, n_in, None, n_weight=None, h_only=u_free)
         rhs, jac = stack_value(val, op.n_out), op.matrix
         if u_free:
             jac, rhs, lift = _eliminate_g(jac, rhs, n_in, op.n_out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
+import discforge.jets as jets_module
 from discforge.exceptions import ConfigError, NumericalError
 from discforge.jets import (
     determination_experiment,
@@ -184,6 +185,41 @@ def test_jet_reconstruct_round_trips():
     assert zero.sup_norm() == 0.0
     with pytest.raises(ConfigError):
         jet_reconstruct(model, qfac, np.zeros(4))
+
+
+def test_jet_objects_are_built_once_per_factorization(monkeypatch):
+    # a survey op reads one factorization's jet matrix and basis up to six
+    # times: each tail is built once, and every reconstruction equals the one
+    # from the basis written out here, to the bit
+    calls = []
+
+    def counting(root, order, n_max):
+        calls.append((root, order))
+        return binomial_tail(root, order, n_max)
+
+    monkeypatch.setattr(jets_module, "binomial_tail", counting)
+    qfac = QFactorization(1.0, ((0.31 + 0.12j, 2), (-0.22 + 0.05j, 1)), ())
+    model = _abs_power(4)  # the jet objects read only the factorization
+    jm = jet_matrix(model, qfac)
+    assert jet_matrix(model, qfac) is jm
+    for arr in (jm.entries, jm.reduced):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+    n_tail = jets_module._tail_truncation(qfac, jm.n)
+    basis = [_OM, multiply(_OM, TrigSeries.from_mode_dict({1: 1.0}))]
+    basis += [multiply(_OM, binomial_tail(r, i, n_tail)) for r, m in qfac.roots_inside for i in range(m)]
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        jets = rng.standard_normal(jm.n) + 1j * rng.standard_normal(jm.n)
+        coeffs = np.linalg.solve(jm.entries, jets)
+        want = basis[0] * coeffs[0]
+        for series, coef in zip(basis[1:], coeffs[1:]):
+            want = want + series * coef
+        got = jet_reconstruct(model, qfac, jets)
+        assert np.array_equal(got.coeffs.view(np.uint64), want.trimmed(0.0).coeffs.view(np.uint64))
+    assert calls == [(0.31 + 0.12j, 0), (0.31 + 0.12j, 1), (-0.22 + 0.05j, 0)]
 
 
 def test_surjectivity_gap_frozen_values():

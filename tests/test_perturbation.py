@@ -61,6 +61,23 @@ def test_theta_realized_symmetrically():
         assert theta[(b, a, e)] == np.conj(c)
 
 
+_VIEWS = ("big_r_mon", "rz_mon", "rw_mon", "rzz_mon", "rzzbar_mon", "rzw_mon", "rwzbar_mon")
+
+
+def test_monomial_views_are_built_once_and_read_only():
+    r = DefiningFunction(_abs4(), (_cubic_term(1e-3), PerturbationTerm(1, 1, 2, {(0, 0): 0.5})), {2: 0.125})
+    for name in _VIEWS:
+        view = getattr(r, name)()
+        assert getattr(r, name)() is view, name
+        with pytest.raises(TypeError):
+            view[(0, 0, 0)] = 1.0
+    # another instance builds its own views, from its own data
+    other = dilate(r, 0.5)
+    assert other.rz_mon() is not r.rz_mon()
+    assert other.rw_mon()[(0, 0, 0)] == r.rw_mon()[(0, 0, 0)] == -0.5
+    assert dilate(r, 1.0).rzw_mon() == r.rzw_mon()
+
+
 def test_eval_matches_hand_expansion():
     eps = 1e-3
     r = DefiningFunction(_abs4(), (_cubic_term(eps),))

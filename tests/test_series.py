@@ -18,6 +18,7 @@ from discforge.series import (
     divide_one_minus_zeta,
     from_samples,
     multiply,
+    sum_terms,
 )
 
 
@@ -147,6 +148,89 @@ def test_multiply_is_exact_on_the_nonzero_carriers(case):
     # inside, only the summation order differs from the untrimmed convolution
     bound = 8 * np.finfo(float).eps * np.convolve(np.abs(a.coeffs), np.abs(b.coeffs))
     assert np.all(np.abs(prod.coeffs - full) <= bound)
+
+
+def _reference_product(a, b):
+    """``multiply`` written out: convolve the factors' flatnonzero windows, zeros elsewhere."""
+    out = np.zeros(a.coeffs.size + b.coeffs.size - 1, dtype=complex)
+    ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
+    if ia.size and ib.size:
+        out[ia[0] + ib[0] : ia[-1] + ib[-1] + 1] = np.convolve(
+            a.coeffs[ia[0] : ia[-1] + 1], b.coeffs[ib[0] : ib[-1] + 1]
+        )
+    return out
+
+
+def test_product_window_drops_ends_that_underflow():
+    # the end modes of a * a are 1e-170 * 1e-170, an exact 0: the product's
+    # window is found from its coefficients, narrower than the sum of the two
+    # factors' windows
+    rng = np.random.default_rng(0)
+    mid = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    a = TrigSeries(np.concatenate([[1e-170], mid, [1e-170]]))
+    assert a.window == (0, 11)
+    prod = multiply(a, a)
+    assert prod.coeffs[0] == 0.0 and prod.coeffs[-1] == 0.0
+    assert prod.window == (1, prod.coeffs.size - 1)
+    assert TrigSeries.zero(3).window is None
+    # the next product convolves that window and no longer one (whose dot
+    # products would round differently), to the bit
+    b = _random_series(rng, 8)
+    for x, y in ((prod, b), (b, prod), (prod, prod)):
+        assert np.array_equal(multiply(x, y).coeffs.view(np.uint64), _reference_product(x, y).view(np.uint64))
+
+
+def test_internal_operations_return_read_only_coefficients():
+    rng = np.random.default_rng(3)
+    a, b = _random_series(rng, 4), _random_series(rng, 6)
+    results = {
+        "multiply": multiply(a, b),
+        "add": a + b,
+        "sub": a - b,
+        "neg": -a,
+        "scale": a.scale(2.0 - 1.0j),
+        "shift": a.shift(-3),
+        "conjugate": a.conjugate(),
+        "truncate": b.truncate(2),
+        "negative_project": a.negative_project(),
+        "pad_to": a.pad_to(9),
+        "sum_terms": sum_terms([(a, 1.0, 2), (b, 0.5j, 0)]),
+        "zero": TrigSeries.zero(2),
+        "monomial": TrigSeries.monomial(-2, 1.5),
+        "from_mode_dict": TrigSeries.from_mode_dict({1: 2.0, -3: 1j}),
+        "geometric": TrigSeries.geometric(0.5, 4),
+        "real_symmetrized": TrigSeries.real_symmetrized(a.coeffs),
+    }
+    for name, series in results.items():
+        assert not series.coeffs.flags.writeable, name
+        with pytest.raises(ValueError):
+            series.coeffs[0] = 1.0
+    assert a.pad_to(a.n_max) is a
+
+
+def test_constructor_copies_outside_arrays():
+    # outside input is validated and copied: the caller's array stays
+    # writeable, and writing to it leaves the series as it was
+    arr = np.arange(5, dtype=complex)
+    series = TrigSeries(arr)
+    arr[0] = 99.0
+    assert series.coeffs[0] == 0.0 and arr.flags.writeable
+
+
+def test_sum_terms_matches_the_chain_of_additions_to_the_bit():
+    # the reference is the chain the buffer replaces, zeros of its padding and
+    # signed zeros included
+    rng = np.random.default_rng(41)
+    terms = [(_random_series(rng, int(k)), complex(c), int(m))
+             for k, c, m in zip(rng.integers(0, 9, 12), rng.standard_normal(12), rng.integers(-4, 5, 12))]
+    terms.append((TrigSeries.from_mode_dict({0: -0.0, 2: 1.0}), -1.0, -2))
+    chain = TrigSeries.zero(0)
+    for series, coef, m in terms:
+        chain = chain + series.shift(m) * coef
+    for got in (sum_terms(terms), sum_terms(iter(terms))):
+        assert got.n_max == chain.n_max
+        assert np.array_equal(got.coeffs.view(np.uint64), chain.coeffs.view(np.uint64))
+    assert sum_terms([]).n_max == 0 and sum_terms([]).coeffs[0] == 0.0
 
 
 def _horner(coeffs, points):

@@ -406,10 +406,10 @@ def _newton_row_counts(monkeypatch, d, split):
         blocks = ((0, 2 * n_out), (2 * n_out, 4 * n_out), (4 * n_out, None))
         return tuple(int(keep[i:j].sum()) for i, j in blocks)
 
-    def recording(defn, qfac, c, point, n_in, n_out, n_weight):
+    def recording(defn, qfac, c, point, n_in, n_out, n_weight, h_only=False):
         formal_n_out = _default_n_out(defn.model.d, defn.model.k0, n_in)
-        formal.append(counts(_linearize(defn, qfac, c, point, n_in, formal_n_out, n_weight)))
-        op = _linearize(defn, qfac, c, point, n_in, n_out, n_weight)
+        formal.append(counts(_linearize(defn, qfac, c, point, n_in, formal_n_out, n_weight, h_only)))
+        op = _linearize(defn, qfac, c, point, n_in, n_out, n_weight, h_only)
         carrier.append(counts(op))
         return op
 
@@ -882,6 +882,22 @@ def _first_step(d, split, n=64, b=0.1):
     """The first Newton Jacobian and residual of a pinned newton_grid case."""
     model, half = _grid_model(d, split), d // 2
     return _first_jacobian(DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {}), b, n)
+
+
+@pytest.mark.parametrize("d, split, b", [(4, False, 0.1), (6, True, 0.45j)])
+def test_h_only_jacobian_is_the_full_one_on_the_h_columns(d, split, b):
+    # Newton assembles only what _eliminate_g reads of a u-free Jacobian: the
+    # h columns, with the T2 rows (exactly zero there) left unfilled
+    model, half = _grid_model(d, split), d // 2
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(b, 1.0), n_max=32)
+    qfac = factor_Q(model)
+    point = _Point(*(divide_one_minus_zeta(s, tol=1e-6).truncate(32).pad_to(32) for s in (init.h, init.g)))
+    full = _linearize(r, qfac, init.c, point, 32, None, None)
+    h_only = _linearize(r, qfac, init.c, point, 32, None, None, h_only=True)
+    assert h_only.n_out == full.n_out
+    assert not full.matrix[2 * full.n_out : 4 * full.n_out].any()
+    assert np.array_equal(h_only.matrix, full.matrix[:, : 2 * 33])
 
 
 @pytest.mark.parametrize("d, split", [(4, False), (6, True)])
