@@ -229,8 +229,7 @@ class LinearizedOperator:
 
     Column layout: optional weight block (symbol degree ``n_weight``; real
     coordinates ``c0, Re c1, Im c1, ...``), then the analytic coefficients of
-    ``ht`` and ``gt`` (``ht`` alone in Newton's ``u``-free Jacobians) as
-    ``Re/Im`` pairs up to degree ``n_in``.  Row layout:
+    ``ht`` and ``gt`` as ``Re/Im`` pairs up to degree ``n_in``.  Row layout:
     the T1 then T2 negative modes ``-1 .. -n_out`` as ``Re/Im`` pairs, then
     the T3 modes ``0 .. n_out`` (mode 0 real).
     """
@@ -390,17 +389,20 @@ def _linearize(
     With ``n_out=None`` the rows stop at the multipliers' numerical carrier
     (``_carrier_n_out``), at most the formal ``_default_n_out``; the result's
     ``n_out`` says where.  With ``h_only`` (for a ``u``-free ``r`` without a
-    weight block) only the ``h`` columns are assembled and the T2 rows, which
-    are then exactly zero, stay unfilled: that is all ``_eliminate_g`` reads.
-    The rows and ``n_out`` are the full Jacobian's, and so is every entry
-    it fills.
+    weight block) only the ``h`` columns of the T1 and T3 rows are filled,
+    which is all ``_eliminate_g`` reads; the ``g`` columns and the T2 rows
+    (exactly zero in the ``h`` columns) stay zero.  The layout and ``n_out``
+    are the full Jacobian's, and so is every entry it fills.
     """
     mults = _multipliers(defn, qfac, c, point, n_in, n_weight)
     if n_out is None:
         formal = _default_n_out(defn.model.d, defn.model.k0, n_in)
         n_out = _carrier_n_out(mults, n_in, n_weight, formal)
     n_wcols = 0 if n_weight is None else 2 * n_weight + 1
-    a = np.zeros((6 * n_out + 1, n_wcols + (2 if h_only else 4) * (n_in + 1)))
+    # full width also with h_only: an h-wide buffer let glibc's trim threshold
+    # (twice the largest freed mmap'd block) fall below one N=128 iteration's
+    # temporaries, so each iteration handed its heap back and faulted ~5 MB in
+    a = np.zeros((6 * n_out + 1, n_wcols + 4 * (n_in + 1)))
 
     # window positions of the T1/T2 rows (modes -1 .. -n_out) and the T3 rows
     # (modes 0 .. n_out); shifting a column by zeta^n moves them by -n
@@ -836,8 +838,8 @@ def solve_newton(
     Each Jacobian stops at the multipliers' numerical carrier
     (``_carrier_n_out``), which leaves a problem about as tall as it is wide.
     When ``r`` does not involve ``u``, ``dg`` is eliminated in closed form
-    (``_eliminate_g``): the Jacobian is assembled on the ``h`` columns
-    alone (``_linearize``'s ``h_only``), and the step factors them and lifts
+    (``_eliminate_g``): only the Jacobian's ``h`` columns are filled
+    (``_linearize``'s ``h_only``), and the step factors them and lifts
     back, so its rank cut is on the ``h``-only matrix (the same
     ``svd_threshold`` on the coupled ``[h | g]`` matrix dropped real
     directions at ``|b| = 0.45``).  A ``u``-dependent ``r`` couples the T1/T2

@@ -886,8 +886,8 @@ def _first_step(d, split, n=64, b=0.1):
 
 @pytest.mark.parametrize("d, split, b", [(4, False, 0.1), (6, True, 0.45j)])
 def test_h_only_jacobian_is_the_full_one_on_the_h_columns(d, split, b):
-    # Newton assembles only what _eliminate_g reads of a u-free Jacobian: the
-    # h columns, with the T2 rows (exactly zero there) left unfilled
+    # Newton fills only what _eliminate_g reads of a u-free Jacobian: the h
+    # columns of the T1 and T3 rows; the g columns and T2 rows stay zero
     model, half = _grid_model(d, split), d // 2
     r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
     init = model_disc(model, ModelDiscParams(b, 1.0), n_max=32)
@@ -897,7 +897,9 @@ def test_h_only_jacobian_is_the_full_one_on_the_h_columns(d, split, b):
     h_only = _linearize(r, qfac, init.c, point, 32, None, None, h_only=True)
     assert h_only.n_out == full.n_out
     assert not full.matrix[2 * full.n_out : 4 * full.n_out].any()
-    assert np.array_equal(h_only.matrix, full.matrix[:, : 2 * 33])
+    assert h_only.matrix.shape == full.matrix.shape
+    assert np.array_equal(h_only.matrix[:, : 2 * 33], full.matrix[:, : 2 * 33])
+    assert not h_only.matrix[:, 2 * 33 :].any()
 
 
 @pytest.mark.parametrize("d, split", [(4, False), (6, True)])
