@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -56,8 +55,6 @@ from .solver import (
 __all__ = ["RunConfig", "main"]
 
 SCHEMA_VERSION = 1
-
-log = logging.getLogger("discforge")
 
 _TOP_KEYS = {"schema", "model", "perturbation", "solver", "params"}
 
@@ -345,10 +342,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     parser.add_argument("-v", "--verbose", action="count", default=0)
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
 
     start = time.perf_counter()
     status, error, texts = "ok", None, {}
@@ -376,7 +369,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(texts.items()):
         _write_atomic(out / name, text)
-        log.debug("wrote %s", out / name)
+        if args.verbose:
+            print(f"DEBUG wrote {out / name}", file=sys.stderr)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "discforge", "version": __version__},

@@ -177,9 +177,7 @@ def model_disc(model: ModelPolynomial, params: ModelDiscParams, n_max: int = 128
     c = weight_series(params.b, model.k0)
 
     ph = Powers(h)
-    p = TrigSeries.zero(0)
-    for j, alpha in model.alpha.items():
-        p = p + (ph[j] * ph[model.d - j].conjugate()) * alpha
+    p = sum_terms((ph[j] * ph[model.d - j].conjugate(), alpha, 0) for j, alpha in model.alpha.items())
     if not np.isfinite(p.coeffs).all():
         raise NumericalError(f"model disc overflows: P(h, conj h) is not finite at |v| = {abs(params.v):.3e}")
     g = analytic_from_real_part(TrigSeries.real_symmetrized(p.coeffs))

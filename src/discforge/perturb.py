@@ -28,7 +28,7 @@ import numpy as np
 
 from .exceptions import ConfigError, integer, malformed, strict_keys
 from .model import ModelPolynomial, d_u, d_z, d_zbar, eval_mon
-from .series import CARRIER_GATE, MAX_ORDER, Powers, TrigSeries, multiply
+from .series import CARRIER_GATE, MAX_ORDER, Powers, TrigSeries, multiply, sum_terms
 
 __all__ = [
     "PerturbationTerm",
@@ -389,10 +389,7 @@ def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
     n_disc = max(h.n_max, g.n_max)
     out = []
     for mono in (h_map.h1, h_map.h2):
-        acc = TrigSeries.zero(0)
-        for (j, l), c in sorted(mono.items()):
-            acc = acc + multiply(ph[j], pg[l]) * c
-        acc = acc.trimmed(0.0)
+        acc = sum_terms((multiply(ph[j], pg[l]), c, 0) for (j, l), c in sorted(mono.items())).trimmed(0.0)
         gate = CARRIER_GATE * float(np.max(np.abs(acc.coeffs)))
         out.append(acc.truncate(max(n_disc, acc.trimmed(gate).n_max)))
     return out[0], out[1]

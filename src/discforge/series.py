@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "TrigSeries",
-    "from_samples",
     "multiply",
     "sum_terms",
     "analytic_from_real_part",
@@ -341,28 +340,6 @@ def sum_terms(terms) -> TrigSeries:
         lo = n - k + m
         buf[lo : lo + 2 * k + 1] += series.coeffs * coef
     return TrigSeries._adopt(buf)
-
-
-def from_samples(values, n_max: int) -> tuple[TrigSeries, float]:
-    """Series of order ``n_max`` from samples at the K-th roots of unity.
-
-    ``K = len(values)`` must be a power of two with ``K >= 2*n_max + 2`` so the
-    kept window is alias-free.  Returns the series and the aliased tail (max
-    modulus over the discarded modes) as a diagnostic residual.
-    """
-    vals = np.asarray(values, dtype=complex)
-    k = vals.size
-    if k & (k - 1) != 0 or k < 2 * n_max + 2:
-        raise ValueError("sample count must be a power of two >= 2*n_max + 2")
-    spec = np.fft.fft(vals) / k
-    kept = np.arange(-n_max, n_max + 1) % k
-    rest = np.ones(k, dtype=bool)
-    rest[kept] = False
-    aliased = spec[rest]
-    # np.hypot is the scalar abs() of each mode to the bit; numpy's vectorised
-    # complex abs can differ from it in the last bit
-    tail = float(np.max(np.hypot(aliased.real, aliased.imag))) if aliased.size else 0.0
-    return TrigSeries._adopt(spec[kept]), tail
 
 
 def analytic_from_real_part(p: TrigSeries) -> TrigSeries:

@@ -362,6 +362,24 @@ def test_disc_writes_family_disc_and_trace(tmp_path):
     assert len(lines) == 9
 
 
+def test_verbose_lists_the_written_files_on_stderr(tmp_path, capsys):
+    config = {
+        "model": Z4_MODEL,
+        "solver": {"N": 16},
+        "params": {"disc": {"b": [0.0, 0.0], "v": [1.0, 0.0]}, "samples": 8},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["disc", "--config", str(cfg), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["-v"]) == 0
+    wrote = [f"DEBUG wrote {out / name}" for name in ("boundary.csv", "disc.json")]
+    assert capsys.readouterr().err.splitlines() == wrote
+
+
 def test_residual_of_family_disc_under_perturbation(tmp_path):
     perturbation = {"terms": [{"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]]}], "theta1": []}
     config = {

@@ -14,8 +14,8 @@ from discforge.jets import (
     surjectivity_gap,
 )
 from discforge.model import ModelPolynomial, QFactorization, factor_Q, random_admissible_model
-from discforge.perturb import BiholoMap, DefiningFunction
-from discforge.series import TrigSeries, coeff_distance, from_samples, multiply
+from discforge.perturb import BiholoMap, DefiningFunction, PerturbationTerm, dilate, dilate_map
+from discforge.series import TrigSeries, coeff_distance, multiply
 from discforge.solver import SolverOptions, binomial_tail
 
 
@@ -256,13 +256,46 @@ def test_surjectivity_gap_is_trig_polynomial():
     n_grid = 64
     angles = 2 * np.pi * np.arange(n_grid) / n_grid
     values = np.array([surjectivity_gap(model, float(a)) for a in angles], dtype=complex)
-    series, tail = from_samples(values, 2 * (2 * model.k0 - model.d) + 2)
-    assert tail < 1e-9
+    n_fit = 2 * (2 * model.k0 - model.d) + 2
+    spec = np.fft.fft(values) / n_grid
+    kept = np.arange(-n_fit, n_fit + 1) % n_grid
+    series = TrigSeries(spec[kept])
+    assert np.max(np.abs(np.delete(spec, kept))) < 1e-9
     # off the fitting grid: the angles 2 pi j / 640 with j not a multiple of 10
     fine = series.sample(640)
     for j in (13, 131, 407):
         direct = surjectivity_gap(model, 2 * np.pi * j / 640)
         assert abs(fine[j].real - direct) < 1e-8
+
+
+def _boundary_defect_by_rings(defn, h_map):
+    # the ring-by-ring loop, kept as the reference for _boundary_defect's single batch
+    angles = np.exp(2j * np.pi * np.arange(24) / 24)
+    worst = 0.0
+    for radius in (0.25, 0.5, 0.75, 1.0):
+        for u in (0.0, 0.05, -0.05):
+            z = radius * angles
+            w = defn.eval_r(z, 1j * u) + 1j * u
+            z2, w2 = h_map.apply_numeric(z, w)
+            worst = float(np.maximum(worst, np.max(np.abs(defn.eval_r(z2, w2)))))
+    return worst
+
+
+def test_boundary_defect_is_the_ring_by_ring_loop_to_the_bit():
+    # r depends on Im w (an l = 1 term and theta1), so every ring reads its own u
+    term = PerturbationTerm(2, 1, 1, {(0, 0): 1e-3, (1, 2): 2e-3j})
+    r = DefiningFunction(_model_d4k3(), (term,), {2: 3e-3, 5: 1e-3})
+    bent = BiholoMap(4, {(1, 0): 1.0, (2, 1): 1e-2 + 1e-3j, (5, 0): 3e-3}, {(0, 1): 1.0, (4, 1): 1e-3j})
+    # about half of the 288 points give NaN and some give inf: a max that skipped NaN would read inf
+    blown = BiholoMap(4, {(1, 0): 1.0}, {(0, 1): 1.0, (0, 40): 1e300})
+    for t in (1.0, 0.5, 0.125):
+        r_t = dilate(r, t)
+        for h_map in (BiholoMap.identity(4), bent, blown):
+            h_t = dilate_map(h_map, t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                batch, rings = jets_module._boundary_defect(r_t, h_t), _boundary_defect_by_rings(r_t, h_t)
+            assert np.float64(batch).tobytes() == np.float64(rings).tobytes()
+            assert math.isnan(batch) == (h_map is blown)
 
 
 def _pure_quartic():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from discforge.discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual
 from discforge.exceptions import ConfigError
-from discforge.model import ModelPolynomial, factor_Q
+from discforge.model import ModelPolynomial, factor_Q, random_admissible_model
 from discforge.perturb import (
     BiholoMap,
     DefiningFunction,
@@ -329,6 +329,47 @@ def test_compose_disc_keeps_content_past_the_disc_order():
         kept, dropped = _kept_and_dropped(new, exact)
         assert np.array_equal(kept, new.coeffs)
         assert np.max(np.abs(dropped)) <= CARRIER_GATE * np.max(np.abs(exact.coeffs))
+
+
+def _chain_of_p(model, h):
+    # P(h, conj h) as a chain of + from the zero series
+    ph = Powers(h)
+    p = TrigSeries.zero(0)
+    for j, alpha in model.alpha.items():
+        p = p + (ph[j] * ph[model.d - j].conjugate()) * alpha
+    return p
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_model_and_composed_discs_are_the_chain_of_additions_to_the_bit(d, monkeypatch):
+    # model_disc's P and compose_disc's components go through series.sum_terms:
+    # every mode must see the same additions as a chain of +, down to the sign of a zero
+    seen = []
+    real_symmetrized = TrigSeries.real_symmetrized.__func__
+
+    def spy(cls, coeffs):
+        seen.append(np.array(coeffs))
+        return real_symmetrized(cls, coeffs)
+
+    monkeypatch.setattr(TrigSeries, "real_symmetrized", classmethod(spy))
+    # with three or more terms a component's sum depends on its order
+    many = BiholoMap(
+        d, {(1, 0): 1.0, (2, 0): 1e-2, (3, 1): 1e-3j, (5, 0): 3e-3}, {(0, 1): 1.0, (2, 1): 1e-2, (d, 1): 1e-3j}
+    )
+    rng = np.random.default_rng(d)
+    for k0 in range(d // 2, d):
+        model = random_admissible_model(rng, d, k0)
+        for b in (0.0, 0.2j, 0.45 * np.exp(2j)):
+            seen.clear()
+            disc = model_disc(model, ModelDiscParams(b, np.exp(2j * np.pi * rng.uniform())), n_max=64)
+            (p,) = seen
+            assert p.tobytes() == _chain_of_p(model, disc.h).coeffs.tobytes()
+            n_disc = max(disc.h.n_max, disc.g.n_max)
+            for h_map in (BiholoMap.identity(d), _survey_map(d), many):
+                for new, exact in zip(compose_disc(h_map, disc), _exact_composition(h_map, disc)):
+                    gate = CARRIER_GATE * float(np.max(np.abs(exact.coeffs)))
+                    kept = exact.truncate(max(n_disc, exact.trimmed(gate).n_max))
+                    assert new.coeffs.tobytes() == kept.coeffs.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,14 +16,9 @@ from discforge.series import (
     analytic_from_real_part,
     coeff_distance,
     divide_one_minus_zeta,
-    from_samples,
     multiply,
     sum_terms,
 )
-
-
-def _circle(num):
-    return np.exp(2j * np.pi * np.arange(num) / num)
 
 
 def _random_series(rng, n_max, real=False):
@@ -37,33 +32,6 @@ def test_evaluate_frozen_value():
     # conj(zeta) + 2 + zeta at zeta = i gives -i + 2 + i = 2
     s = TrigSeries(np.array([1.0, 2.0, 1.0], dtype=complex))
     assert s.sample(4)[1] == pytest.approx(2.0, abs=1e-14)
-
-
-def test_from_samples_squared_distance_symbol():
-    # |1 - zeta|^2 sampled exactly: c0 = 2, c(+-1) = -1
-    z = _circle(16)
-    series, tail = from_samples(np.abs(1 - z) ** 2, 3)
-    assert series.coeff(0) == pytest.approx(2.0, abs=1e-13)
-    assert series.coeff(1) == pytest.approx(-1.0, abs=1e-13)
-    assert series.coeff(-1) == pytest.approx(-1.0, abs=1e-13)
-    assert abs(series.coeff(2)) < 1e-13
-    assert tail < 1e-13
-    assert series.is_real(1e-13)
-
-
-def test_from_samples_pure_mode():
-    z = _circle(8)
-    series, tail = from_samples(z**2, 3)
-    assert series.coeff(2) == pytest.approx(1.0, abs=1e-13)
-    assert sum(abs(series.coeff(n)) for n in (-3, -2, -1, 0, 1, 3)) < 1e-13
-    assert tail < 1e-13
-
-
-def test_from_samples_requires_power_of_two():
-    with pytest.raises(ValueError):
-        from_samples(np.ones(12), 3)
-    with pytest.raises(ValueError):
-        from_samples(np.ones(8), 4)  # needs >= 2N+2 = 10
 
 
 def test_projections_split_identity_exactly():
@@ -355,13 +323,13 @@ def test_json_roundtrip_is_exact():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 997))
-def test_sample_from_samples_roundtrip(n_max, seed):
+def test_sample_roundtrips_through_the_fft(n_max, seed):
     rng = np.random.default_rng(seed)
     a = _random_series(rng, n_max)
-    vals = a.sample(16)
-    back, tail = from_samples(vals, n_max)
-    assert coeff_distance(back, a) < 1e-12
-    assert tail < 1e-12
+    spec = np.fft.fft(a.sample(16)) / 16
+    kept = np.arange(-n_max, n_max + 1) % 16
+    assert np.max(np.abs(spec[kept] - a.coeffs)) < 1e-12
+    assert np.max(np.abs(np.delete(spec, kept))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
