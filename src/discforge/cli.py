@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .discs import ModelDiscParams, model_disc, stationarity_residual
-from .exceptions import ConfigError, NumericalError, integer, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, integer, malformed, pair, real, strict_keys
 from .jets import (
     _pair,
     determination_experiment,
@@ -78,28 +79,10 @@ def _checked(read, ok, rule: str):
 
 
 def _pairs(value) -> tuple:
-    return tuple(complex(re, im) for re, im in value)
+    return tuple(pair(v) for v in value)
 
 
 _count = _checked(integer, lambda n: 1 <= n <= MAX_ANGLES, f"1 <= count <= {MAX_ANGLES}")
-
-# The reader of each parameter of each command, and the parameter a command needs.
-_PARAMS = {
-    "analyze": {},
-    "disc": {"disc": ModelDiscParams.from_dict, "samples": _count},
-    "residual": {"disc": ModelDiscParams.from_dict},
-    "solve": {"disc": ModelDiscParams.from_dict},
-    "kernel": {},
-    "jet": {"jets": _pairs},
-    "gap": {"n_angles": _count},
-    "determine": {
-        "map": BiholoMap.from_dict,
-        "t": _checked(float, lambda t: 0 < t <= 1, "0 < t <= 1"),
-        "b_values": _checked(_pairs, lambda bs: all(abs(b) < 0.5 for b in bs), "|b| < 1/2 for every b"),
-        "boundary_tol": _checked(float, lambda tol: 0 <= tol < math.inf, "0 <= boundary_tol < inf"),
-    },
-}
-_REQUIRED = {"disc": "disc", "residual": "disc", "solve": "disc", "determine": "map"}
 
 
 @dataclass(frozen=True)
@@ -133,15 +116,18 @@ class RunConfig:
             raise ConfigError(
                 f"d (N + 2) = {model.d * (opts.n_max + 2)} exceeds the series order cap {MAX_ORDER}"
             )
-        readers = _PARAMS[command]
-        raw = strict_keys(data.get("params", {}), set(readers), f"{command} parameter")
-        need = _REQUIRED.get(command)
-        if need is not None and need not in raw:
-            raise ConfigError(f"{command} needs params.{need}")
+        spec = _COMMANDS[command]
+        raw = strict_keys(data.get("params", {}), set(spec.params), f"{command} parameter")
+        if spec.required is not None and spec.required not in raw:
+            raise ConfigError(f"{command} needs params.{spec.required}")
         params = {}
         for key, value in raw.items():
             with malformed(f"params.{key}"):
-                params[key] = readers[key](value)
+                params[key] = spec.params[key](value)
+        # the jets at 1 of orders 0 .. ell0 + 1, with ell0 = k0 - d/2
+        n_jets = model.k0 - model.d // 2 + 2
+        if "jets" in params and len(params["jets"]) != n_jets:
+            raise ConfigError(f"params.jets needs k0 - d/2 + 2 = {n_jets} pairs, not {len(params['jets'])}")
         return cls(model, defn, opts, params)
 
 
@@ -278,15 +264,22 @@ def cmd_determine(cfg: RunConfig) -> dict:
     return {"determine.json": report}
 
 
+# A subcommand: its runner, the reader of each parameter, and the parameter it needs.
+_Command = namedtuple("_Command", "run params required", defaults=({}, None))
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "disc": cmd_disc,
-    "residual": cmd_residual,
-    "solve": cmd_solve,
-    "kernel": cmd_kernel,
-    "jet": cmd_jet,
-    "gap": cmd_gap,
-    "determine": cmd_determine,
+    "analyze": _Command(cmd_analyze),
+    "disc": _Command(cmd_disc, {"disc": ModelDiscParams.from_dict, "samples": _count}, "disc"),
+    "residual": _Command(cmd_residual, {"disc": ModelDiscParams.from_dict}, "disc"),
+    "solve": _Command(cmd_solve, {"disc": ModelDiscParams.from_dict}, "disc"),
+    "kernel": _Command(cmd_kernel),
+    "jet": _Command(cmd_jet, {"jets": _pairs}),
+    "gap": _Command(cmd_gap, {"n_angles": _count}),
+    "determine": _Command(cmd_determine, {
+        "map": BiholoMap.from_dict,
+        "t": _checked(real, lambda t: 0 < t <= 1, "0 < t <= 1"),
+        "b_values": _checked(_pairs, lambda bs: all(abs(b) < 0.5 for b in bs), "|b| < 1/2 for every b"),
+        "boundary_tol": _checked(real, lambda tol: 0 <= tol < math.inf, "0 <= boundary_tol < inf"),
+    }, "map"),
 }
 
 
@@ -356,7 +349,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read {args.config}: {exc}") from None
             cfg = RunConfig.from_dict(raw, args.command)
-            files = _COMMANDS[args.command](cfg)
+            files = _COMMANDS[args.command].run(cfg)
         texts = {name: _render(name, payload) for name, payload in files.items()}
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

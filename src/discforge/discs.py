@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericalError, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, malformed, pair, real, strict_keys
 from .model import ModelPolynomial
 from .perturb import DefiningFunction
 from .series import ONE_MINUS, Powers, TrigSeries, analytic_from_real_part, sum_terms
@@ -82,7 +82,7 @@ class ModelDiscParams:
     def from_dict(cls, data: dict) -> "ModelDiscParams":
         strict_keys(data, {"b", "v", "theta"}, "disc parameter")
         with malformed("malformed disc parameters"):
-            return cls(complex(*data["b"]), complex(*data["v"]), float(data.get("theta", 0.0)))
+            return cls(pair(data["b"], "b"), pair(data["v"], "v"), real(data.get("theta", 0.0), "theta"))
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,7 @@ def substitute_boundary(mon: dict, pows: tuple[Powers, Powers, Powers]) -> TrigS
     return sum_terms(terms())
 
 
-def stationarity_residual(
-    disc: LiftedDisc, defn: DefiningFunction, k0: int | None = None
-) -> tuple[float, float, float]:
+def stationarity_residual(disc: LiftedDisc, defn: DefiningFunction) -> tuple[float, float, float]:
     """Sup norms of the three stationarity defects by plain substitution.
 
     The first two are the negative-frequency parts of ``zeta^k0 c r_z(f)``
@@ -218,20 +216,16 @@ def stationarity_residual(
     + 4, 64)`` circle points, with ``N`` that defect's own order; so the
     same disc carried to a different order (a composed disc kept to its
     numerical carrier, say) is sampled on a different grid, and its
-    residual moves at the sampling error.  ``k0`` defaults to the model's
-    exponent; passing another value probes how the defect detects a wrong
-    weight.
+    residual moves at the sampling error.
     """
-    if k0 is None:
-        k0 = defn.model.k0
     pows = boundary_powers(disc.h, disc.g)
     rz = substitute_boundary(defn.rz_mon(), pows)
     rw = substitute_boundary(defn.rw_mon(), pows)
     big_r = substitute_boundary(defn.big_r_mon(), pows)
     del pows  # the powers are the largest series here: none is held through the sampling
 
-    weighted_z = (disc.c * rz).shift(k0)
-    weighted_w = (disc.c * rw).shift(k0)
+    weighted_z = (disc.c * rz).shift(defn.model.k0)
+    weighted_w = (disc.c * rw).shift(defn.model.k0)
     res1 = weighted_z.negative_project().sup_norm()
     res2 = weighted_w.negative_project().sup_norm()
     res3 = (big_r - (disc.g + disc.g.conjugate()) * 0.5).sup_norm()

@@ -42,6 +42,20 @@ def integer(value, name: str = "value") -> int:
     return int(value)
 
 
+def real(value, name: str = "value") -> float:
+    """Read a config real, a JSON int or float: never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
+def pair(value, name: str = "value") -> complex:
+    """Read a config complex number, a list ``[re, im]`` of exactly two reals."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{name} must be a pair [re, im] of real numbers, not {value!r}")
+    return complex(real(value[0], f"{name} re"), real(value[1], f"{name} im"))
+
+
 @contextmanager
 def malformed(what: str):
     """Read config values: a missing key or a value of the wrong type or range

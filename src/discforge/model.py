@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericalError, integer, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, integer, malformed, real, strict_keys
 from .series import TrigSeries, coeff_distance, multiply
 
 __all__ = [
@@ -146,7 +146,7 @@ class ModelPolynomial:
                 j = integer(item["j"], "j")
                 if 2 * j < d:
                     raise ConfigError("model data lists only j >= d/2; mirrors are derived")
-                upper[j] = float(item["re"]) + 1j * float(item.get("im", 0.0))
+                upper[j] = complex(real(item["re"], "re"), real(item.get("im", 0.0), "im"))
         return cls.from_upper(d, k0, upper)
 
 

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exceptions import ConfigError, integer, malformed, strict_keys
+from .exceptions import ConfigError, integer, malformed, pair, real, strict_keys
 from .model import ModelPolynomial, d_u, d_z, d_zbar, eval_mon
 from .series import CARRIER_GATE, MAX_ORDER, Powers, TrigSeries, multiply, sum_terms
 
@@ -220,9 +220,9 @@ class DefiningFunction:
         with malformed("malformed perturbation"):
             for item in data.get("terms", []):
                 strict_keys(item, {"i", "j", "l", "coeffs"}, "perturbation term")
-                coeffs = {(integer(m, "m"), integer(n, "n")): re + 1j * im for m, n, re, im in item["coeffs"]}
+                coeffs = {(integer(m, "m"), integer(n, "n")): pair(c, "coefficient") for m, n, *c in item["coeffs"]}
                 terms.append(PerturbationTerm(*(integer(item[key], key) for key in "ijl"), coeffs))
-            theta1 = {integer(deg, "theta1 degree"): float(val) for deg, val in data.get("theta1", [])}
+            theta1 = {integer(deg, "theta1 degree"): real(val, "theta1 value") for deg, val in data.get("theta1", [])}
         return cls(model, tuple(terms), theta1)
 
 
@@ -283,7 +283,6 @@ class BiholoMap:
     d: int
     h1: dict[tuple[int, int], complex] = field(repr=False)
     h2: dict[tuple[int, int], complex] = field(repr=False)
-    domain_radius: float = math.inf
 
     def __post_init__(self):
         for name, mono in (("H1", self.h1), ("H2", self.h2)):
@@ -333,8 +332,8 @@ class BiholoMap:
     def from_dict(cls, data: dict) -> "BiholoMap":
         strict_keys(data, {"d", "H1", "H2"}, "map")
         with malformed("malformed map data"):
-            h1 = {(integer(j, "j"), integer(l, "l")): re + 1j * im for j, l, re, im in data["H1"]}
-            h2 = {(integer(j, "j"), integer(l, "l")): re + 1j * im for j, l, re, im in data["H2"]}
+            h1 = {(integer(j, "j"), integer(l, "l")): pair(c, "H1") for j, l, *c in data["H1"]}
+            h2 = {(integer(j, "j"), integer(l, "l")): pair(c, "H2") for j, l, *c in data["H2"]}
             return cls(integer(data["d"], "d"), h1, h2)
 
 
@@ -360,7 +359,7 @@ def dilate_map(h: BiholoMap, t: float) -> BiholoMap:
         if expo < 0:
             raise ConfigError(f"H2 monomial z^{j} w^{l} scales by t^{expo} < 0")
         new2[(j, l)] = c * t**expo
-    return BiholoMap(d, new1, new2, h.domain_radius)
+    return BiholoMap(d, new1, new2)
 
 
 def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
@@ -374,14 +373,9 @@ def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:
     A composition that fits inside the disc's order (the identity, a
     rotation) is exact to the bit.
 
-    The disc boundary values must stay inside the map's domain polydisc, and
-    every monomial of the map must stay within ``MAX_ORDER`` along the disc.
+    Every monomial of the map must stay within ``MAX_ORDER`` along the disc.
     """
     h, g = disc.h, disc.g
-    if math.isfinite(h_map.domain_radius):
-        bound = max(h.sup_norm(), g.sup_norm())
-        if bound > h_map.domain_radius:
-            raise ConfigError("disc leaves the domain of the map")
     order = max((j * h.n_max + l * g.n_max for j, l in {**h_map.h1, **h_map.h2}), default=0)
     if order > MAX_ORDER:
         raise ConfigError(f"the map composed with the disc has order {order} > MAX_ORDER={MAX_ORDER}")

@@ -42,7 +42,7 @@ from typing import NoReturn
 import numpy as np
 
 from .discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual, weight_series
-from .exceptions import ConfigError, NumericalError, integer, malformed, strict_keys
+from .exceptions import ConfigError, NumericalError, integer, malformed, real, strict_keys
 from .model import QFactorization, d_u
 from .perturb import DefiningFunction, x_norm_distance
 from .series import (
@@ -111,13 +111,10 @@ class SolverOptions:
     @classmethod
     def from_dict(cls, data: dict) -> "SolverOptions":
         strict_keys(data, {"N", "tol", "max_iter", "svd_threshold", "x_norm_bound"}, "solver option")
-        kwargs = {}
         with malformed("malformed solver options"):
+            kwargs = {key: real(data[key], key) for key in ("tol", "svd_threshold", "x_norm_bound") if key in data}
             if "N" in data:
                 kwargs["n_max"] = integer(data["N"], "N")
-            for key in ("tol", "svd_threshold", "x_norm_bound"):
-                if key in data:
-                    kwargs[key] = float(data[key])
             if "max_iter" in data:
                 kwargs["max_iter"] = integer(data["max_iter"], "max_iter")
         return cls(**kwargs)

@@ -345,6 +345,109 @@ def test_run_config_reads_typed_params():
         RunConfig.from_dict({"model": Z4_MODEL}, "determine")
 
 
+def test_run_config_checks_the_jet_count(tmp_path, capsys):
+    # d = 4, k0 = 3 has ell0 = k0 - d/2 = 1, so its jet vector has ell0 + 2 = 3 entries
+    jets = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    for n in (1, 4):
+        config = {"model": D4K3_MODEL, "params": {"jets": jets[:n]}}
+        with pytest.raises(ConfigError, match=rf"params.jets needs k0 - d/2 \+ 2 = 3 pairs, not {n}"):
+            RunConfig.from_dict(config, "jet")
+        capsys.readouterr()
+        rc, out = _run(tmp_path, "jet", config, name=f"jets{n}.json")
+        assert rc == 2 and not out.exists()
+        assert "params.jets needs" in capsys.readouterr().err
+    cfg = RunConfig.from_dict({"model": D4K3_MODEL, "params": {"jets": jets[:3]}}, "jet")
+    assert cfg.params["jets"] == (1.0, 0.0, 0.0)
+
+
+# one config per command that reads real or complex fields, all of them set
+_NUMBERS = {
+    "solve": {
+        "model": Z4_MODEL,
+        "perturbation": {"terms": [{"i": 3, "j": 2, "l": 0, "coeffs": [[0, 0, 1e-3, 0.0]]}], "theta1": [[2, 1e-4]]},
+        "solver": {"N": 32, "tol": 1e-9, "svd_threshold": 1e-8, "x_norm_bound": 10.0},
+        "params": {"disc": {"b": [0.1, 0.0], "v": [1.0, 0.0], "theta": 0.5}},
+    },
+    "jet": {"model": D4K3_MODEL, "params": {"jets": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}},
+    "determine": {
+        "model": Z4_MODEL,
+        "solver": {"N": 32},
+        "params": {
+            "map": {"d": 4, "H1": [[1, 0, 1.0, 0.0], [9, 0, 1e-4, 0.0]], "H2": [[0, 1, 1.0, 0.0]]},
+            "t": 0.5,
+            "b_values": [[0.1, 0.0], [0.0, 0.1]],
+            "boundary_tol": 1e-3,
+        },
+    },
+}
+# where each real field stands, and the name its refusal gives
+_REAL_FIELDS = [
+    ("solve", ("solver", "tol"), "tol"),
+    ("solve", ("solver", "svd_threshold"), "svd_threshold"),
+    ("solve", ("solver", "x_norm_bound"), "x_norm_bound"),
+    ("solve", ("model", "alpha", 0, "re"), "re"),
+    ("solve", ("model", "alpha", 0, "im"), "im"),
+    ("solve", ("perturbation", "terms", 0, "coeffs", 0, 2), "coefficient re"),
+    ("solve", ("perturbation", "terms", 0, "coeffs", 0, 3), "coefficient im"),
+    ("solve", ("perturbation", "theta1", 0, 1), "theta1 value"),
+    ("solve", ("params", "disc", "theta"), "theta"),
+    ("determine", ("params", "map", "H1", 1, 2), "H1 re"),
+    ("determine", ("params", "map", "H2", 0, 3), "H2 im"),
+    ("determine", ("params", "t"), "params.t: value"),
+    ("determine", ("params", "boundary_tol"), "params.boundary_tol: value"),
+]
+# and each complex field, a pair [re, im]
+_PAIR_FIELDS = [
+    ("solve", ("params", "disc", "b"), "b"),
+    ("solve", ("params", "disc", "v"), "v"),
+    *(("jet", ("params", "jets", k), "params.jets: value") for k in range(3)),
+    *(("determine", ("params", "b_values", k), "params.b_values: value") for k in range(2)),
+]
+
+
+def _with(command, path, value):
+    config = copy.deepcopy(_NUMBERS[command])
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+def _number_cases():
+    for command, path, name in _REAL_FIELDS:
+        for bad in ("0.5", True):
+            yield command, path, bad, f"{name} must be a real number, not {bad!r}"
+    for command, path, name in _PAIR_FIELDS:
+        for bad in ("0.5", True):
+            yield command, path, [bad, 0.0], f"{name} re must be a real number, not {bad!r}"
+            yield command, path, [0.0, bad], f"{name} im must be a real number, not {bad!r}"
+        for bad in ([], [0.1], [0.1, 0, 0], "0.1"):
+            yield command, path, bad, f"{name} must be a pair [re, im] of real numbers, not {bad!r}"
+    # an integer is a real, and [0, 0] a pair
+    yield "solve", ("model", "alpha", 0, "re"), 1, None
+    yield "solve", ("params", "disc", "b"), [0, 0], None
+    yield "determine", ("params", "map", "H1", 0, 2), 1, None
+
+
+@pytest.mark.parametrize("command, path, value, refusal", list(_number_cases()))
+def test_every_number_is_read_by_one_rule(tmp_path, capsys, command, path, value, refusal):
+    # a real field takes a JSON number and a complex one exactly two; a string
+    # or a boolean is refused by RunConfig, naming the field, before any command runs
+    config = _with(command, path, value)
+    if refusal is None:
+        as_floats = json.loads(json.dumps(value), parse_int=float)
+        assert RunConfig.from_dict(config, command) == RunConfig.from_dict(_with(command, path, as_floats), command)
+        return
+    with pytest.raises(ConfigError) as caught:
+        RunConfig.from_dict(config, command)
+    assert refusal in str(caught.value)
+    capsys.readouterr()
+    rc, out = _run(tmp_path, command, config)
+    assert rc == 2 and not out.exists()
+    assert refusal in capsys.readouterr().err
+
+
 def test_disc_writes_family_disc_and_trace(tmp_path):
     config = {
         "model": Z4_MODEL,

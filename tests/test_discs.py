@@ -163,11 +163,16 @@ def test_residual_detects_center_shift():
     assert res1 < 1e-9  # r_z does not see the w-translation on a model
 
 
-def test_residual_detects_wrong_weight_exponent():
+def test_residual_detects_a_wrong_weight():
+    # the b = 0 disc of |z|^4 is stationary with its own weight c = 1, and
+    # not with the weight of b = 0.2; only the first defect reads the weight
     model = _abs_power(4)
     disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=32)
-    res1, _, _ = stationarity_residual(disc, DefiningFunction.pure(model), k0=1)
-    assert abs(res1 - 2.0) < 1e-12
+    pure = DefiningFunction.pure(model)
+    assert stationarity_residual(disc, pure) == (0.0, 0.0, 0.0)
+    res1, res2, res3 = stationarity_residual(LiftedDisc(weight_series(0.2, 2), disc.h, disc.g), pure)
+    assert abs(res1 - 0.64) < 1e-12
+    assert res2 == res3 == 0.0
 
 
 def test_lifted_disc_validation():

@@ -1,4 +1,5 @@
-"""Package surface: every exported name resolves and has a caller, benchmarked entry points exist."""
+"""Package surface: every exported name resolves and has a caller, benchmarked entry points exist,
+and config numbers are read only by the readers in discforge.exceptions."""
 
 import ast
 import importlib
@@ -76,3 +77,73 @@ def test_every_exported_name_has_a_caller():
                 uncalled.append(f"{path.stem}.{name}")
     # an allowed name that gains a caller leaves the list too
     assert sorted(uncalled) == sorted(UNCALLED_EXPORTS), f"used nowhere in src/ or bench/: {uncalled}"
+
+
+# The only calls that may turn a config value into a number: each kind of value
+# has one reader in discforge.exceptions.
+NUMBER_READERS = {"integer", "real", "pair"}
+# ``from_dict`` methods that read back what discforge wrote, not a run config.
+ARTIFACT_READERS = {
+    "TrigSeries.from_dict": "reads a series of a written disc artifact, not a config",
+    "LiftedDisc.from_dict": "reads a written disc artifact, not a config",
+}
+
+
+def _bare_conversions(node: ast.AST) -> list[str]:
+    """``float``, ``int`` and ``complex`` under ``node``, called on anything but readers' results
+    or passed on as a reader themselves."""
+    converters = {"float", "int", "complex"}
+    found = []
+    for call in (sub for sub in ast.walk(node) if isinstance(sub, ast.Call)):
+        if isinstance(call.func, ast.Name) and call.func.id in converters:
+            args = call.args if not call.keywords else [None]
+            if not args or not all(
+                isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id in NUMBER_READERS
+                for arg in args
+            ):
+                found.append(ast.unparse(call))
+        found += [ast.unparse(call) for arg in call.args if isinstance(arg, ast.Name) and arg.id in converters]
+    return found
+
+
+def _cli_readers(tree: ast.Module) -> dict[str, ast.AST]:
+    """The parameter readers of ``cli._COMMANDS``, and every module-level cli name they reach."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            defs[node.targets[0].id] = node.value
+    table = defs["_COMMANDS"]
+    readers = {
+        f"_COMMANDS[{key.value!r}]": entry.args[1]
+        for key, entry in zip(table.keys, table.values)
+        if isinstance(entry, ast.Call) and len(entry.args) > 1
+    }
+    todo = [name for node in readers.values() for name in _uses(node) if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in readers:
+            readers[name] = defs[name]
+            todo += [used for used in _uses(defs[name]) if used in defs]
+    return readers
+
+
+def test_config_numbers_are_read_only_by_the_number_readers():
+    checked, offenders = set(), []
+    for path in sorted((ROOT / "src" / "discforge").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                key = f"{cls.name}.{getattr(fn, 'name', '')}"
+                if isinstance(fn, ast.FunctionDef) and fn.name == "from_dict" and key not in ARTIFACT_READERS:
+                    checked.add(key)
+                    offenders += [f"{path.stem}.{key}: {call}" for call in _bare_conversions(fn)]
+        if path.stem == "cli":
+            for name, node in _cli_readers(tree).items():
+                checked.add(f"cli.{name}")
+                offenders += [f"cli.{name}: {call}" for call in _bare_conversions(node)]
+    assert not offenders, f"config values read outside integer/real/pair: {offenders}"
+    # the check reaches every run-config parser and the cli's own readers
+    parsers = {"RunConfig", "SolverOptions", "ModelPolynomial", "ModelDiscParams", "DefiningFunction", "BiholoMap"}
+    assert {f"{name}.from_dict" for name in parsers} | {"cli._pairs", "cli._checked", "cli._count"} <= checked

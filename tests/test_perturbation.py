@@ -258,19 +258,6 @@ def test_compose_disc():
     h_new, _ = compose_disc(sq, disc)
     assert coeff_distance(h_new, om + multiply(om, om) * 0.01) == 0.0
 
-    tight = BiholoMap(4, {(1, 0): 1.0}, {(0, 1): 1.0}, domain_radius=0.5)
-    with pytest.raises(ConfigError):
-        compose_disc(tight, disc)
-
-
-def test_compose_disc_checks_the_domain_of_a_large_disc():
-    # N = 300 needs more than 512 circle samples to resolve every mode
-    disc = model_disc(_abs4(), ModelDiscParams(0.1, 0.5), n_max=300)
-    wide = BiholoMap(4, {(1, 0): 1.0}, {(0, 1): 1.0}, domain_radius=5.0)
-    h_new, g_new = compose_disc(wide, disc)
-    assert coeff_distance(h_new, disc.h.trimmed()) == 0.0
-    assert coeff_distance(g_new, disc.g.trimmed()) == 0.0
-
 
 def _survey_map(d):
     # the near-identity map of the benchmark's model survey
