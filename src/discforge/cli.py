@@ -79,6 +79,9 @@ def _checked(read, ok, rule: str):
 
 
 def _pairs(value) -> tuple:
+    """Read a JSON list of pairs ``[re, im]``; an object or a string is not one."""
+    if not isinstance(value, list):
+        raise ValueError(f"value must be a list of pairs [re, im], not {value!r}")
     return tuple(pair(v) for v in value)
 
 
@@ -277,7 +280,9 @@ _COMMANDS = {
     "determine": _Command(cmd_determine, {
         "map": BiholoMap.from_dict,
         "t": _checked(real, lambda t: 0 < t <= 1, "0 < t <= 1"),
-        "b_values": _checked(_pairs, lambda bs: all(abs(b) < 0.5 for b in bs), "|b| < 1/2 for every b"),
+        "b_values": _checked(
+            _pairs, lambda bs: bs and all(abs(b) < 0.5 for b in bs), "at least one b, and |b| < 1/2 for every b"
+        ),
         "boundary_tol": _checked(real, lambda tol: 0 <= tol < math.inf, "0 <= boundary_tol < inf"),
     }, "map"),
 }

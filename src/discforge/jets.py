@@ -266,8 +266,9 @@ def determination_experiment(
 ) -> dict:
     """Measure how far a near-identity map moves the solved discs.
 
-    Pipeline: dilate the defining function and conjugate the map until both
-    are close enough to their limits, solve a disc per requested ``b``, push
+    Pipeline: dilate the defining function and conjugate the map at ``t``, or
+    at the first of ``1, 1/2, 1/4, ...`` (40 trials) where both are close
+    enough to their limits, solve a disc per requested ``b``, push
     it through the scaled map, then compare residual, jet at 1, and
     coefficients.  A map that honestly preserves the hypersurface and is
     tangent to the identity past the jet order leaves every disc fixed up to
@@ -285,25 +286,21 @@ def determination_experiment(
             f"[hypothesis] map tangency order {tangency} is below the jet order {order}"
         )
 
-    if t is None:
-        t = 1.0
-        for _ in range(40):
-            r_t = dilate(r, t)
-            if (
-                x_norm_distance(r_t) <= X_NORM_THRESHOLD
-                and _boundary_defect(r_t, dilate_map(h_map, t)) <= boundary_tol
-            ):
+    # one trial per scale, the given t or the search's: r and H dilated
+    # together, the zero set checked only where the distance passes
+    searched = t is None
+    for t in (0.5**k for k in range(40)) if searched else (t,):
+        r_t, h_t = dilate(r, t), dilate_map(h_map, t)
+        x_val, defect = x_norm_distance(r_t), math.nan
+        if x_val <= X_NORM_THRESHOLD:
+            defect = _boundary_defect(r_t, h_t)
+            if defect <= boundary_tol:
                 break
-            t *= 0.5
-        else:
+    else:
+        if searched:
             raise NumericalError("[scaling] no dilation parameter satisfies the thresholds")
-    r_t = dilate(r, t)
-    h_t = dilate_map(h_map, t)
-    x_val = x_norm_distance(r_t)
-    defect = _boundary_defect(r_t, h_t)
-    if not x_val <= X_NORM_THRESHOLD:
-        raise NumericalError(f"[scaling] dilated defining function too far out: {x_val:.3e}")
-    if not defect <= boundary_tol:
+        if not x_val <= X_NORM_THRESHOLD:
+            raise NumericalError(f"[scaling] dilated defining function too far out: {x_val:.3e}")
         raise ConfigError(f"[hypothesis] map moves the zero set by {defect:.3e}")
 
     runs = []

@@ -285,7 +285,7 @@ class BiholoMap:
     h2: dict[tuple[int, int], complex] = field(repr=False)
 
     def __post_init__(self):
-        for name, mono in (("H1", self.h1), ("H2", self.h2)):
+        for name, mono, _ in self._graded():
             for (j, l), c in mono.items():
                 if j < 0 or l < 0:
                     raise ConfigError("map exponents must be nonnegative")
@@ -294,39 +294,35 @@ class BiholoMap:
         object.__setattr__(self, "h1", {k: complex(v) for k, v in self.h1.items() if v != 0})
         object.__setattr__(self, "h2", {k: complex(v) for k, v in self.h2.items() if v != 0})
 
+    def _graded(self) -> tuple:
+        """``(name, monomials, weight)`` per component: ``H1`` has the weight 1 of z, ``H2`` the weight d of w."""
+        return ("H1", self.h1, 1), ("H2", self.h2, self.d)
+
     @classmethod
     def identity(cls, d: int) -> "BiholoMap":
         return cls(d, {(1, 0): 1.0}, {(0, 1): 1.0})
 
-    def deviation(self) -> tuple[dict, dict]:
-        dev1 = dict(self.h1)
-        dev1[(1, 0)] = dev1.get((1, 0), 0.0 + 0.0j) - 1.0
-        dev2 = dict(self.h2)
-        dev2[(0, 1)] = dev2.get((0, 1), 0.0 + 0.0j) - 1.0
-        return (
-            {k: v for k, v in dev1.items() if v != 0},
-            {k: v for k, v in dev2.items() if v != 0},
-        )
-
     def tangency_order(self) -> float:
-        dev1, dev2 = self.deviation()
-        degrees = [j + self.d * l for (j, l) in dev1] + [j + self.d * l for (j, l) in dev2]
-        if not degrees:
-            return math.inf
-        return min(degrees) - 1
+        """The lowest weighted degree ``j + d l`` of a monomial where ``H`` and the identity differ, minus 1."""
+        pairs = zip(self._graded(), self.identity(self.d)._graded())
+        degrees = [
+            j + self.d * l
+            for (_, mono, _), (_, ident, _) in pairs
+            for j, l in mono.keys() | ident.keys()
+            if mono.get((j, l), 0) != ident.get((j, l), 0)
+        ]
+        return min(degrees, default=math.inf) - 1
 
     def apply_numeric(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        out1 = sum(c * z**j * w**l for (j, l), c in self.h1.items())
-        out2 = sum(c * z**j * w**l for (j, l), c in self.h2.items())
-        return out1, out2
+        return tuple(sum(c * z**j * w**l for (j, l), c in mono.items()) for _, mono, _ in self._graded())
 
     def to_dict(self) -> dict:
         def rows(mono):
             return [[j, l, float(c.real), float(c.imag)] for (j, l), c in sorted(mono.items())]
 
-        return {"d": self.d, "H1": rows(self.h1), "H2": rows(self.h2)}
+        return {"d": self.d, **{name: rows(mono) for name, mono, _ in self._graded()}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BiholoMap":
@@ -340,26 +336,22 @@ class BiholoMap:
 def dilate_map(h: BiholoMap, t: float) -> BiholoMap:
     """Conjugate ``H`` by the anisotropic dilation: ``H_t = phi_t^-1 o H o phi_t``.
 
-    A ``z^j w^l`` coefficient scales by ``t^(j + d l - 1)`` in the first
-    component and ``t^(j + d l - d)`` in the second; a negative exponent means
+    A ``z^j w^l`` coefficient of a component of weight ``k`` (1 for ``H1``,
+    d for ``H2``) scales by ``t^(j + d l - k)``; a negative exponent means
     the map is not admissible for shrinking ``t`` and is rejected.
     """
     if not (0 < t <= 1):
         raise ConfigError("dilation parameter must lie in (0, 1]")
-    d = h.d
-    new1 = {}
-    for (j, l), c in h.h1.items():
-        expo = j + d * l - 1
-        if expo < 0:
-            raise ConfigError(f"H1 monomial z^{j} w^{l} scales by t^{expo} < 0")
-        new1[(j, l)] = c * t**expo
-    new2 = {}
-    for (j, l), c in h.h2.items():
-        expo = j + d * l - d
-        if expo < 0:
-            raise ConfigError(f"H2 monomial z^{j} w^{l} scales by t^{expo} < 0")
-        new2[(j, l)] = c * t**expo
-    return BiholoMap(d, new1, new2)
+    scaled = []
+    for name, mono, weight in h._graded():
+        new = {}
+        for (j, l), c in mono.items():
+            expo = j + h.d * l - weight
+            if expo < 0:
+                raise ConfigError(f"{name} monomial z^{j} w^{l} scales by t^{expo} < 0")
+            new[(j, l)] = c * t**expo
+        scaled.append(new)
+    return BiholoMap(h.d, *scaled)
 
 
 def compose_disc(h_map: BiholoMap, disc) -> tuple[TrigSeries, TrigSeries]:

@@ -772,12 +772,14 @@ def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> 
 # least-squares step (a Newton step has 2 (N + 1) unknowns when ``gt`` is
 # eliminated: N <= 383; else 4 (N + 1): N <= 191; the kernel basis'
 # weight corrections 2 (n_in + 1)) and the kernel dimension's SVD.  At that
-# size a second OpenBLAS thread buys a step nothing it can keep (2 cores, three
-# runs: a 615 x 258 step 11-15 ms on one thread and 12-20 on two, an 871 x 514
-# step 71-75 ms and 69-83), because each of the many level-2 calls inside it
-# then waits on the other core, so a step slows down two- to threefold
-# whenever another process holds that core.  Larger ones keep the threads: a
-# 1300 x 1028 coupled step was about 25% faster on two (measured with lstsq).
+# size a second OpenBLAS thread buys a step little or nothing it can keep
+# (2 cores, numpy 2.4.6, the fastest of 5 runs of ``_h_only_step`` on first
+# Newton steps of the split d=4 model: a 327 x 258 step 10.2 ms on one thread
+# and 12.0 on two, a 583 x 514 step 44.6 and 46.1), because each of the many
+# level-2 calls inside it then waits on the other core, so a step slows down
+# two- to threefold whenever another process holds that core.  Larger ones
+# keep the threads: an 839 x 770 step took 119 ms on one and 106 on two, a
+# 1645 x 1028 coupled step 797 and 564.
 SERIAL_LSTSQ_COLS = 768
 
 

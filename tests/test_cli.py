@@ -152,6 +152,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("boundary_tol", -1), ("boundary_tol", "nan"), ("boundary_tol", "inf"), ("boundary_tol", "-inf"),
         ("t", 0), ("t", -0.5), ("t", 1.5), ("t", "nan"), ("t", "inf"),
         ("b_values", [[0.5, 0]]), ("b_values", [[0.1, 0], [0.3, -0.4]]), ("b_values", [["nan", 0]]),
+        # an experiment with no disc, and an object, which is not a list
+        ("b_values", []), ("b_values", {}),
     ]
     for k, (key, value) in enumerate(bad_params):
         capsys.readouterr()

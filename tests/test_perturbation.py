@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discforge.jets as jets_module
+from discforge.cli import main
 from discforge.discs import LiftedDisc, ModelDiscParams, model_disc, stationarity_residual
-from discforge.exceptions import ConfigError
+from discforge.exceptions import ConfigError, NumericalError
 from discforge.model import ModelPolynomial, factor_Q, random_admissible_model
 from discforge.perturb import (
     BiholoMap,
@@ -374,3 +377,115 @@ def test_dilate_is_multiplicative(s, t, eps):
             assert a.coeffs[key] == pytest.approx(b.coeffs[key], rel=1e-12, abs=1e-300)
     for deg in once.theta1:
         assert once.theta1[deg] == pytest.approx(twice.theta1[deg], rel=1e-12)
+
+
+# The two-component grading and the halve-then-recompute scale search as they
+# were written out before one loop read the weights (1, d): the references
+# for the bit-level test below.
+def _dilate_map_by_component(h, t):
+    if not (0 < t <= 1):
+        raise ConfigError("dilation parameter must lie in (0, 1]")
+    d = h.d
+    new1 = {}
+    for (j, l), c in h.h1.items():
+        expo = j + d * l - 1
+        if expo < 0:
+            raise ConfigError(f"H1 monomial z^{j} w^{l} scales by t^{expo} < 0")
+        new1[(j, l)] = c * t**expo
+    new2 = {}
+    for (j, l), c in h.h2.items():
+        expo = j + d * l - d
+        if expo < 0:
+            raise ConfigError(f"H2 monomial z^{j} w^{l} scales by t^{expo} < 0")
+        new2[(j, l)] = c * t**expo
+    return BiholoMap(d, new1, new2)
+
+
+def _tangency_by_deviation(h):
+    dev1 = dict(h.h1)
+    dev1[(1, 0)] = dev1.get((1, 0), 0.0 + 0.0j) - 1.0
+    dev2 = dict(h.h2)
+    dev2[(0, 1)] = dev2.get((0, 1), 0.0 + 0.0j) - 1.0
+    degrees = [j + h.d * l for (j, l), v in dev1.items() if v != 0]
+    degrees += [j + h.d * l for (j, l), v in dev2.items() if v != 0]
+    return min(degrees) - 1 if degrees else math.inf
+
+
+def _searched_scale(r, h_map, boundary_tol):
+    t = 1.0
+    for _ in range(40):
+        r_t = dilate(r, t)
+        if (
+            x_norm_distance(r_t) <= jets_module.X_NORM_THRESHOLD
+            and jets_module._boundary_defect(r_t, _dilate_map_by_component(h_map, t)) <= boundary_tol
+        ):
+            break
+        t *= 0.5
+    else:
+        raise NumericalError("[scaling] no dilation parameter satisfies the thresholds")
+    r_t = dilate(r, t)
+    return t, x_norm_distance(r_t), jets_module._boundary_defect(r_t, _dilate_map_by_component(h_map, t))
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ConfigError as exc:
+        return type(exc), str(exc)
+    return out.to_dict() if isinstance(out, BiholoMap) else out
+
+
+def test_one_grading_rule_is_the_two_component_loops_to_the_bit():
+    maps = [
+        BiholoMap.identity(4),
+        _survey_map(4),
+        _survey_map(6),
+        # w-monomials in both components, a rotated z, and no w in H2
+        BiholoMap(4, {(1, 0): 1.0, (3, 1): 1e-3 - 2e-4j, (0, 2): 5e-4}, {(0, 1): 1.0, (4, 1): 1e-3j, (2, 2): 3e-3}),
+        BiholoMap(6, {(1, 0): np.exp(0.3j), (1, 1): 1e-2}, {(0, 2): 1.0, (6, 0): 1e-2}),
+        # inadmissible: H2's z^4 scales by t^-2
+        BiholoMap(6, {(1, 0): 1.0}, {(0, 1): 1.0, (4, 0): 1e-3}),
+    ]
+    for h in maps:
+        assert h.tangency_order() == _tangency_by_deviation(h)
+        for t in (1.0, 0.5, 0.125):
+            assert _outcome(dilate_map, h, t) == _outcome(_dilate_map_by_component, h, t)
+    assert _outcome(dilate_map, maps[-1], 0.5)[1] == "H2 monomial z^4 w^0 scales by t^-2 < 0"
+
+    # the scale search settles where the references did, and its report is the given-t report
+    bumpy = BiholoMap(4, {(1, 0): 1.0, (5, 0): 0.5}, {(0, 1): 1.0})
+    bent = DefiningFunction(
+        ModelPolynomial.from_upper(4, 3, {2: 1.0, 3: 0.25}), (PerturbationTerm(2, 1, 1, {(0, 0): 1.0, (1, 1): 0.5j}),), {2: 0.5}
+    )
+    sextic = DefiningFunction(ModelPolynomial.from_upper(6, 3, {3: 1.0}), (PerturbationTerm(4, 3, 0, {(0, 0): 0.5}),))
+    for r, h_map, tol in ((DefiningFunction.pure(_abs4()), bumpy, 1e-5), (bent, _survey_map(4), 1e-3),
+                          (sextic, _survey_map(6), 1e-3)):
+        t, x_val, defect = _searched_scale(r, h_map, tol)
+        assert t < 1.0
+        reports = [
+            jets_module.determination_experiment(
+                r, h_map, factor_Q(r.model), SolverOptions(n_max=32, tol=1e-7), t=given, b_values=(0.1,), boundary_tol=tol
+            )
+            for given in (None, t)
+        ]
+        assert (reports[0]["t"], reports[0]["x_norm_scaled"], reports[0]["boundary_defect"]) == (t, x_val, defect)
+        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+
+def test_an_inadmissible_map_is_refused_whether_t_is_given_or_searched(tmp_path, capsys):
+    # a d = 6 map whose H2 monomial z^4 scales by t^-2, under a perturbation no
+    # scale brings within the threshold: a search that dilated only r once
+    # ended in "[scaling] no dilation parameter satisfies the thresholds"
+    config = {
+        "model": {"d": 6, "k0": 3, "alpha": [{"j": 3, "re": 1.0}]},
+        "perturbation": {"terms": [{"i": 4, "j": 3, "l": 0, "coeffs": [[0, 0, 1e15, 0.0]]}]},
+        "solver": {"N": 32},
+        "params": {"map": {"d": 6, "H1": [[1, 0, 1.0, 0.0]], "H2": [[0, 1, 1.0, 0.0], [4, 0, 1e-3, 0.0]]}},
+    }
+    for k, params in enumerate(({}, {"t": 0.5})):
+        path = tmp_path / f"edge{k}.json"
+        path.write_text(json.dumps({**config, "params": {**config["params"], **params}}))
+        out = tmp_path / f"out{k}"
+        assert main(["determine", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "H2 monomial z^4 w^0" in capsys.readouterr().err
