@@ -613,6 +613,24 @@ def _g_pinv(y: np.ndarray, n_in: int) -> np.ndarray:
     return out
 
 
+def _jet_pin(n_in: int, orders: int) -> np.ndarray:
+    """Rows of the jets of ``h = (1 - zeta) ht`` at 1, orders ``1 .. orders``, on the packed ``ht``.
+
+    ``h^(m)(1) = -m sum_n n (n-1) ... (n-m+2) ht_n``; each order takes a row
+    for its real part (on the ``Re ht_n`` columns) and one for its imaginary
+    part.  With ``orders = k0 - d/2 + 1`` these are the family's free
+    coordinates: a ``u``-free Newton step's matrix has a null space of
+    ``2 orders`` real directions, on which the rows are one-to-one, which
+    ``_pinned_step`` checks at every step.
+    """
+    n = np.arange(n_in + 1.0)
+    fall, out = np.ones(n_in + 1), np.zeros((2 * orders, 2 * (n_in + 1)))
+    for m in range(1, orders + 1):
+        out[2 * m - 2, 0::2] = out[2 * m - 1, 1::2] = -m * fall
+        fall *= n - m + 1
+    return out
+
+
 def _eliminate_g(
     jac: np.ndarray, rhs: np.ndarray, n_in: int, n_out: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -645,30 +663,41 @@ def _upper_inverse(t: np.ndarray) -> np.ndarray:
     return np.block([[a, -a @ (t[:h, h:] @ d)], [np.zeros((len(t) - h, h)), d]])
 
 
-def _null_block(r: np.ndarray, rcond: float, block: int) -> np.ndarray | None:
-    """Orthonormal right singular vectors of the square ``r`` at ``sigma <= mu = rcond sigma_max``, or ``None``.
-
-    Inverse iteration on ``r^T r + mu^2 I`` brings every null direction near
-    ``1 / mu^2``, however small its sigma, and a kept one at ``sigma >= 2 mu``
-    to at most a fifth of that.  ``None`` where the block cannot certify its
-    answer: a failed or non-finite factorization, sweeps that do not settle, a
-    block null throughout, or a Ritz value within a factor 2 of the cut.
-    """
+def _sigma_max(r: np.ndarray) -> float | None:
+    """The largest singular value of ``r`` by power iteration, or ``None`` where it is 0 or not finite."""
     v, s2 = r.T @ r[:, np.argmax(np.einsum("ij,ij->j", r, r))], 0.0
-    for _ in range(100):  # power iteration, until sigma_max^2 gains under 1e-3 of itself
+    for _ in range(100):  # until sigma_max^2 gains under 1e-3 of itself
         w = r @ (v / math.sqrt(v @ v))
         last, s2 = s2, w @ w
         if not s2 - last > 1e-3 * s2:
             break
         v = r.T @ w
-    if not 0.0 < s2 < math.inf:
-        return None
-    cut = rcond * math.sqrt(s2)
+    return math.sqrt(s2) if 0.0 < s2 < math.inf else None
+
+
+def _start(n: int, block: int) -> np.ndarray:
+    """A fixed pseudo-random ``n x block`` start in ``[-1/2, 1/2)``.
+
+    A sine hash, since importing numpy.random adds ~13 ms to a cold run.
+    """
+    return np.sin(np.arange(1.0, n * block + 1).reshape(n, block) * 12.9898) * 43758.5453 % 1.0 - 0.5
+
+
+def _null_block(r: np.ndarray, cut: float, block: int) -> np.ndarray | None:
+    """Orthonormal right singular vectors of the square ``r`` at ``sigma <= cut``, or ``None``.
+
+    Inverse iteration on ``r^T r + cut^2 I`` brings every null direction near
+    ``1 / cut^2``, however small its sigma, and a kept one at ``sigma >= 2
+    cut`` to at most a fifth of that.  ``None`` where the block cannot certify
+    its answer: a failed or non-finite factorization, sweeps that do not
+    settle, a block null throughout, or a Ritz value within a factor 2 of the
+    cut.  Newton's ``u``-free steps come here only where their jet pin fails
+    its rank check (``_pinned_step``); the coupled step and the kernel
+    basis' weight corrections always do.
+    """
     try:
         inv = _upper_inverse(np.linalg.qr(np.vstack([r, cut * np.eye(len(r))]), mode="r"))
-        # a fixed pseudo-random start: a sine hash, since importing numpy.random adds ~13 ms to a cold run
-        start = np.sin(np.arange(1.0, len(r) * block + 1).reshape(len(r), block) * 12.9898) * 43758.5453 % 1.0
-        w, last = inv @ (inv.T @ (start - 0.5)), math.inf
+        w, last = inv @ (inv.T @ _start(len(r), block)), math.inf
         for _ in range(8):  # sweeps, until the null pairs' worst relative residual stops halving
             z = np.linalg.qr(w)[0]
             y = inv.T @ z
@@ -690,8 +719,86 @@ def _null_block(r: np.ndarray, rcond: float, block: int) -> np.ndarray | None:
     return ritz[:, null]
 
 
+def _panels(full: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Triangularize ``full``'s first ``n`` columns in place and return its diagonal blocks.
+
+    ``full``'s first ``n`` rows are upper triangular there, with border rows
+    below.  Each panel of 64 columns changes only its own rows and the
+    border's, so one small QR per panel does it.
+    """
+    blocks = [(j, min(j + 64, n)) for j in range(0, n, 64)]
+    for j, e in blocks:
+        rows = np.r_[j:e, n : len(full)]
+        full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
+    return blocks
+
+
+def _back_substitute(full: np.ndarray, blocks: list[tuple[int, int]], b: np.ndarray) -> np.ndarray:
+    """``T^-1 b`` for the triangular ``T`` on ``blocks`` of ``full`` (``_panels``), 64 rows at a time."""
+    n = blocks[-1][1]
+    x = np.zeros(b.shape)
+    for j, e in reversed(blocks):
+        x[j:e] = np.linalg.solve(full[j:e, j:e], b[j:e] - full[j:e, e:n] @ x[e:])
+    return x
+
+
+# The pinned factor's smallest singular value is read from one sweep of
+# inverse iteration, which can only overestimate it, so it must clear twice
+# the cut by this factor.  On the 1,020 u-free steps of newton_grid seeds 1-3
+# (N = 64 and 128) the sweep read at most 1.58 times the exact value, and the
+# exact value was at least 15.7 times the cut.
+PIN_MARGIN = 4.0
+
+
+def _pinned_step(
+    tri: np.ndarray, pin: np.ndarray, sigma: float, cut: float, block: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(dh, K)`` of ``_h_only_step`` from the factor ``[R | t]`` and a pin of ``R``'s null space, or ``None``.
+
+    The pin's rows, each scaled to ``sigma`` (``R``'s largest singular
+    value), border ``[R | t | 0; C | 0 | I]``, which one panel factorization
+    and one back-substitution turn into a least-squares ``dh`` of ``R dh ~
+    -t`` (with ``C dh ~ 0``) and ``Z = [R; C]^+ [0; I]``, whose columns ``R``
+    maps to zero wherever ``C`` is one-to-one on ``ker R``.  ``K = orth(Z)``.
+    ``None`` unless ``R`` then provably has exactly as many singular values at
+    or below ``cut / 2`` as ``C`` has rows, and none in ``(cut / 2, 2 cut]``:
+    ``|R K| <= cut / 2`` gives at least that many, and a smallest singular
+    value of ``[R; C]`` above ``2 cut`` at most that many.  The latter is
+    read from one sweep of inverse iteration over ``block`` starts, with
+    ``PIN_MARGIN`` against its overestimate.
+    """
+    n, p = len(tri), len(pin)
+    k = tri.shape[1] - n
+    full = np.zeros((n + p, n + k + p))
+    full[:n, : n + k] = tri
+    full[n:, :n] = pin * (sigma / np.linalg.norm(pin, axis=1))[:, None]
+    full[n:, n + k :] = np.eye(p)
+    try:
+        blocks = _panels(full, n)
+        # one sweep of inverse iteration: y = T^-T s by forward substitution,
+        # then T^-1 y with the right-hand sides
+        y = _start(n, block)
+        for j, e in blocks:
+            y[j:e] = np.linalg.solve(full[j:e, j:e].T, y[j:e] - full[:j, j:e].T @ y[:j])
+        x = _back_substitute(full, blocks, np.column_stack([full[:n, n:], y]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    kernel = np.linalg.qr(x[:, k : k + p])[0]
+    smallest = np.min(np.linalg.norm(y, axis=0) / np.linalg.norm(x[:, k + p :], axis=0))
+    if np.linalg.norm(tri[:, :n] @ kernel, 2) > cut / 2 or not smallest > PIN_MARGIN * 2 * cut:
+        return None
+    return -x[:, :k], kernel
+
+
 def _h_only_step(
-    mat: np.ndarray, rhs: np.ndarray, lift: tuple[np.ndarray, np.ndarray], rcond: float, block: int = 8
+    mat: np.ndarray,
+    rhs: np.ndarray,
+    lift: tuple[np.ndarray, np.ndarray],
+    rcond: float,
+    block: int = 8,
+    pin: np.ndarray | None = None,
 ) -> np.ndarray:
     """The full system's minimal-norm least-squares step ``[dh; dg]``, from ``_eliminate_g``'s problem.
 
@@ -699,14 +806,18 @@ def _h_only_step(
     ``(np.zeros((0, n)), np.zeros(0))`` it is ``mat``'s own minimal-norm
     step.  ``mat dh ~ -rhs`` is factored once: the triangular factor
     ``[R | t]`` of ``[mat | rhs]``, without ``Q``.  The directions ``K`` that
-    ``R`` maps below ``rcond`` times its largest singular value come from a
-    block of ``block`` columns (``_null_block``), and ``dh`` solves the
-    full-rank ``[R; K^T] dh ~ [-t; 0]`` through one more triangular factor;
-    where the block is not certain, an SVD of ``R`` gives both.  ``dg``
-    follows from ``lift``.  The full system's least-squares steps are this
-    one plus the lift ``[K; -G⁺A K]`` of ``ker mat``, so projecting that
-    lift out gives the minimal-norm step, whatever part of ``dh`` lies along
-    ``K``.  It runs on one BLAS thread up to ``SERIAL_LSTSQ_COLS`` unknowns.
+    ``R`` maps below ``rcond`` times its largest singular value come, with
+    ``dh``, from one bordered factorization where ``pin`` is given and
+    passes ``_pinned_step``'s rank check: rows that are one-to-one on ``ker
+    R``, as many as its dimension.  Otherwise they come from a block of
+    ``block`` columns (``_null_block``), and ``dh`` solves the full-rank
+    ``[R; K^T] dh ~ [-t; 0]`` through one more triangular factor; where the
+    block is not certain, an SVD of ``R`` gives both.  ``dg`` follows from
+    ``lift``.  The full system's least-squares steps are this one plus the
+    lift ``[K; -G⁺A K]`` of ``ker mat``, so projecting that lift out gives
+    the minimal-norm step, whatever part of ``dh`` lies along ``K``: a pin
+    chooses no disc.  It runs on one BLAS thread up to ``SERIAL_LSTSQ_COLS``
+    unknowns.
     """
     gp_a, gp_f = lift
     n = mat.shape[1]
@@ -714,22 +825,22 @@ def _h_only_step(
     with _blas_threads(n):
         tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
         r, t = tri[:, :n], tri[:, tcols]
-        kernel = _null_block(r, rcond, min(block, n)) if len(r) == n else None
-        if kernel is None:
-            u, s, vt = np.linalg.svd(r)
-            rank = int(np.sum(s > rcond * s[0]))
-            dh = -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T
-            kernel = vt[rank:].T
-        else:  # factor [R | t; K^T | 0] by panels of 64 columns, each of which changes only
-            # its own rows of R and those of K^T, then back-substitute 64 rows at a time
-            full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1:] + t.shape[1:])])])
-            blocks = [(j, min(j + 64, n)) for j in range(0, n, 64)]
-            for j, e in blocks:
-                rows = np.r_[j:e, n : len(full)]
-                full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
-            dh = np.zeros(t.shape)
-            for j, e in reversed(blocks):
-                dh[j:e] = -np.linalg.solve(full[j:e, j:e], full[j:e, tcols] + full[j:e, e:n] @ dh[e:])
+        sigma = _sigma_max(r) if len(r) == n else None
+        pinned = None
+        if sigma is not None and pin is not None:
+            pinned = _pinned_step(tri, pin, sigma, rcond * sigma, min(block, n))
+        if pinned is not None:
+            dh, kernel = pinned[0].reshape(t.shape), pinned[1]
+        else:
+            kernel = None if sigma is None else _null_block(r, rcond * sigma, min(block, n))
+            if kernel is None:
+                u, s, vt = np.linalg.svd(r)
+                rank = int(np.sum(s > rcond * s[0]))
+                dh = -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T
+                kernel = vt[rank:].T
+            else:  # factor [R | t; K^T | 0] and back-substitute
+                full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1:] + t.shape[1:])])])
+                dh = -_back_substitute(full, _panels(full, n), full[:n, tcols])
         step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
         if kernel.size:
             basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
@@ -759,13 +870,21 @@ STALL_STEPS = 2
 
 
 def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> NoReturn:
-    """Raise the under-resolution of a solve that stalls at ``level`` in ``[inner_tol, tol)``."""
+    """Raise the stall of a solve at ``level`` in ``[inner_tol, tol)``.
+
+    It is the truncation's floor, with the advice to raise N, where the
+    larger relative coefficient tail is at least ``level``; tails below it
+    cannot account for the stall, and the report says so.
+    """
     _check_decay(point)  # coefficients that have not decayed are the plainer report
-    raise NumericalError(
-        f"series truncation too small: reduced residual stalls at {level:.3e} above "
-        f"inner_tol {inner_tol:.1e} at N = {n} (relative coefficient tails h {_relative_tail(point.h):.1e}, "
-        f"g {_relative_tail(point.g):.1e}); a larger N resolves the disc"
+    tail_h, tail_g = _relative_tail(point.h), _relative_tail(point.g)
+    stall = (
+        f"reduced residual stalls at {level:.3e} above inner_tol {inner_tol:.1e} at N = {n} "
+        f"(relative coefficient tails h {tail_h:.1e}, g {tail_g:.1e})"
     )
+    if max(tail_h, tail_g) >= level:
+        raise NumericalError(f"series truncation too small: {stall}; a larger N resolves the disc")
+    raise NumericalError(f"{stall}; the tails lie below that level, so the truncation does not explain it")
 
 
 # Factorizations of at most this many columns run on one BLAS thread: every
@@ -774,12 +893,13 @@ def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> 
 # weight corrections 2 (n_in + 1)) and the kernel dimension's SVD.  At that
 # size a second OpenBLAS thread buys a step little or nothing it can keep
 # (2 cores, numpy 2.4.6, the fastest of 5 runs of ``_h_only_step`` on first
-# Newton steps of the split d=4 model: a 327 x 258 step 10.2 ms on one thread
-# and 12.0 on two, a 583 x 514 step 44.6 and 46.1), because each of the many
-# level-2 calls inside it then waits on the other core, so a step slows down
-# two- to threefold whenever another process holds that core.  Larger ones
-# keep the threads: an 839 x 770 step took 119 ms on one and 106 on two, a
-# 1645 x 1028 coupled step 797 and 564.
+# Newton steps of the split d=4 model at b = 0.1, pinned as Newton pins them,
+# two sets: a 327 x 258 step 3.3-5.1 ms on one thread and 4.0-4.1 on two, a
+# 583 x 514 step 11.9 and 13.0-14.8), because each of the many level-2 calls
+# inside it then waits on the other core, so a step slows down two- to
+# threefold whenever another process holds that core.  Larger ones keep the
+# threads: an 839 x 770 pinned step took 29 ms on either, and a 1645 x 1028
+# coupled step 797 on one and 564 on two.
 SERIAL_LSTSQ_COLS = 768
 
 
@@ -834,6 +954,9 @@ def solve_newton(
     Unknowns are the analytic coefficients of ``ht, gt``; every step is the
     minimal-norm least-squares step of ``_h_only_step``, which pins the
     in-fiber freedom (the update never moves along the residual kernel).
+    For a ``u``-free ``r`` that kernel is found through the jets of ``h`` at
+    1 (``_jet_pin``), one bordered factorization per step, and through the
+    rank-revealing block only where the pin fails its rank check.
     Each Jacobian stops at the multipliers' numerical carrier
     (``_carrier_n_out``), which leaves a problem about as tall as it is wide.
     When ``r`` does not involve ``u``, ``dg`` is eliminated in closed form
@@ -874,6 +997,7 @@ def solve_newton(
     gtilde = divide_one_minus_zeta(init.g, tol=1e-6).truncate(n_in).pad_to(n_in)
     inner_tol = 0.01 * opts.tol
     u_free = not d_u(r.big_r_mon())
+    pin = _jet_pin(n_in, model.k0 - model.d // 2 + 1) if u_free else None
 
     x = pack_series(htilde, gtilde, n_in)
     point = _Point(htilde, gtilde)
@@ -895,7 +1019,7 @@ def solve_newton(
         # the full matrix goes now, the step's matrix and the lift right after
         # the solve: none then lives on through the next assembly
         del op
-        delta = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6)
+        delta = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6, pin)
         del jac, lift
         phi0 = float(f @ f)
         alpha = 1.0

@@ -15,7 +15,8 @@ from discforge.discs import (
 )
 from discforge.exceptions import ConfigError, NumericalError
 from discforge.model import ModelPolynomial, QFactorization, factor_Q
-from discforge.perturb import DefiningFunction, PerturbationTerm
+from discforge.jets import jet_map
+from discforge.perturb import DefiningFunction, PerturbationTerm, dilate
 from discforge.series import ONE_MINUS, TrigSeries, coeff_distance, divide_one_minus_zeta, multiply
 from discforge.solver import (
     SolverOptions,
@@ -869,6 +870,21 @@ def test_a_floor_on_undecayed_coefficients_reports_them(monkeypatch):
     assert len(linearized) <= 6
 
 
+def test_a_stall_the_tails_do_not_explain_gets_no_advice_to_raise_n():
+    # a dilated d=4, k0=3 model with an l = 1 term and theta1 stalls at the
+    # same reduced residual at N = 32, 64 and 128, with tails far below it: a
+    # larger N does not resolve that disc, and the report must not say so
+    model = _model_d4k3()
+    r = dilate(DefiningFunction(model, (PerturbationTerm(2, 1, 1, {(0, 0): 0.3}),), {2: 0.2}), 0.5)
+    init = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=32)
+    with pytest.raises(NumericalError) as info:
+        solve_newton(r, factor_Q(model), 0.0, init, SolverOptions(n_max=32))
+    assert str(info.value) == (
+        "reduced residual stalls at 1.257e-10 above inner_tol 1.0e-11 at N = 32 (relative coefficient "
+        "tails h 4.1e-13, g 3.2e-14); the tails lie below that level, so the truncation does not explain it"
+    )
+
+
 def _first_jacobian(r, b, n):
     """The first Newton Jacobian and residual of ``r`` from its model's disc at ``b``."""
     init = model_disc(r.model, ModelDiscParams(b, 1.0), n_max=n)
@@ -956,7 +972,8 @@ def _assert_matches_the_svd_step(mat, rhs, lift, block=8):
     larger: no step is determined more closely than that.
     """
     n = mat.shape[1]
-    kernel = solver._null_block(np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n, :n], 1e-8, block)
+    r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n, :n]
+    kernel = solver._null_block(r, 1e-8 * solver._sigma_max(r), block)
     ref, rank = _svd_step(mat, rhs, lift, 1e-8)
     assert kernel is not None and n - kernel.shape[1] == rank
     step = _h_only_step(mat, rhs, lift, 1e-8, block)
@@ -1062,6 +1079,82 @@ def test_h_only_step_takes_the_svd_where_the_block_cannot_certify(monkeypatch, n
     step = _h_only_step(mat, rhs, lift, 1e-8)
     assert len(calls) == 1
     assert np.array_equal(step, _svd_step(mat, rhs, lift, 1e-8)[0])
+
+
+@pytest.mark.parametrize("d, k0", [(4, 2), (4, 3), (6, 3), (6, 4)])
+def test_jet_pin_rows_are_the_jets_of_h(d, k0):
+    # the pin reads the jets of h = (1 - zeta) ht at 1 off the packed ht
+    n_in, orders = 40, k0 - d // 2 + 1
+    rng = np.random.default_rng(d + k0)
+    arr = np.zeros(2 * n_in + 1, dtype=complex)
+    arr[n_in:] = (rng.standard_normal(n_in + 1) + 1j * rng.standard_normal(n_in + 1)) * 0.8 ** np.arange(n_in + 1)
+    ht = TrigSeries(arr)
+    pin = solver._jet_pin(n_in, orders)
+    assert pin.shape == (2 * orders, 2 * (n_in + 1))
+    jets = jet_map(multiply(ONE_MINUS, ht), orders)
+    expected = np.column_stack([jets.real, jets.imag]).ravel()
+    got = pin @ pack_series(ht, TrigSeries.zero(0), n_in)[: 2 * (n_in + 1)]
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _newton_steps(d, split, b, n=64, count=2):
+    """The arguments of the first ``count`` steps of a newton_grid case's solve, as Newton passes them."""
+    calls = []
+
+    class Enough(Exception):
+        pass
+
+    def recording(*args):
+        calls.append(args)
+        if len(calls) == count:
+            raise Enough
+        return _h_only_step(*args)
+
+    model, half = _grid_model(d, split), d // 2
+    r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
+    init = model_disc(model, ModelDiscParams(b, 1.0), n_max=n)
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(Enough):
+        patch.setattr(solver, "_h_only_step", recording)
+        solve_newton(r, factor_Q(model), b, init, SolverOptions(n_max=n))
+    return calls
+
+
+@pytest.mark.parametrize("bmag", [0.1, 0.45])
+@pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
+def test_pinned_newton_step_is_the_unpinned_one_without_the_null_block(monkeypatch, d, split, bmag):
+    # Newton's u-free steps pass the jet pin and take the bordered factor,
+    # never the rank-revealing block, and the step is the minimal-norm one.
+    # On |b| = 0.1 the two agree to 1e-12 of the step; at |b| = 0.45 the step
+    # itself is determined only to the SVD oracle's spread (up to ~5e-8 on
+    # split roots), and the two agree within four times that
+    for mat, rhs, lift, rcond, block, pin in _newton_steps(d, split, bmag):
+        assert pin is not None and len(pin) == 2 * (split + 1)
+        unpinned = _h_only_step(mat, rhs, lift, rcond, block)
+        blocks = _counting(monkeypatch, "_null_block")
+        pinned = _h_only_step(mat, rhs, lift, rcond, block, pin)
+        assert not blocks
+        monkeypatch.undo()
+        ref = _svd_step(mat, rhs, lift, rcond)[0]
+        spread = np.linalg.norm(_svd_step(mat, rhs, lift, rcond, transposed=True)[0] - ref) / np.linalg.norm(ref)
+        bound = 1e-12 if bmag == 0.1 else max(1e-12, 4 * spread)
+        assert np.linalg.norm(pinned - unpinned) <= bound * np.linalg.norm(unpinned)
+
+
+def test_a_pin_that_does_not_fit_the_null_space_falls_back_to_the_block(monkeypatch):
+    # d4-k3 at |b| = 0.1 has four null directions: a pin one row short leaves
+    # the bordered factor singular, one row long pins a kept direction, and a
+    # fifth null direction makes the four rows too few.  Each takes the
+    # unpinned path, to the bit
+    (mat, rhs, lift, rcond, block, pin), = _newton_steps(4, True, 0.1, count=1)
+    v = mat.T @ np.ones(len(mat))  # in the row space, so off the null space: mat - (mat v) v^T adds v to it
+    v /= np.linalg.norm(v)
+    longer = np.vstack([pin, solver._jet_pin(mat.shape[1] // 2 - 1, len(pin) // 2 + 1)[-2]])
+    for a, p in ((mat, pin[:-1]), (mat, longer), (mat - np.outer(mat @ v, v), pin)):
+        blocks = _counting(monkeypatch, "_null_block")
+        step = _h_only_step(a, rhs, lift, rcond, block, p)
+        assert np.array_equal(step, _h_only_step(a, rhs, lift, rcond, block))
+        assert len(blocks) == 2
+        monkeypatch.undo()
 
 
 def test_g_pinv_inverts_g_on_its_range():
