@@ -604,12 +604,14 @@ def _g_pinv(y: np.ndarray, n_in: int) -> np.ndarray:
     """
     w = _eval_at_one(n_in)
     y = y - np.multiply.outer(w, w @ y) / (w @ w)
-    p = np.empty((n_in + 2,) + y.shape[1:], dtype=complex)
-    p[1:] = -2.0 * (y[1::2] + 1j * y[2::2])
-    p[0] = -y[0] - 1j * p[1:].imag.sum(axis=0)
-    gt = np.cumsum(p, axis=0)[: n_in + 1]
+    # Re p and Im p of the modes 0 .. n_in; p_m = -2 (y_{2m-1} + i y_{2m}) for m >= 1
+    re, im = np.empty((2, n_in + 1) + y.shape[1:])
+    re[0], im[0] = -y[0], 2.0 * y[2::2].sum(axis=0)
+    np.multiply(y[1:-2:2], -2.0, out=re[1:])
+    np.multiply(y[2:-1:2], -2.0, out=im[1:])
     out = np.empty((2 * (n_in + 1),) + y.shape[1:])
-    out[0::2], out[1::2] = gt.real, gt.imag
+    np.cumsum(re, axis=0, out=out[0::2])
+    np.cumsum(im, axis=0, out=out[1::2])
     return out
 
 
@@ -631,6 +633,20 @@ def _jet_pin(n_in: int, orders: int) -> np.ndarray:
     return out
 
 
+def _split_top(y: np.ndarray, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """``y``'s rows of the ``h``-only problem, and its T3 rows of modes ``0 .. n_in + 1``.
+
+    ``y`` is the Jacobian's ``h`` columns or a right-hand side, on the rows of
+    a Jacobian with ``n_out``.  The first part is a new array of the T1 rows,
+    the component of the top T3 rows along ``w`` (``_eval_at_one``), as one
+    row, and the T3 rows above mode ``n_in + 1``.
+    """
+    top = slice(4 * n_out, 4 * n_out + 2 * n_in + 3)
+    w = _eval_at_one(n_in)
+    w /= np.linalg.norm(w)
+    return np.concatenate([y[: 2 * n_out], (w @ y[top])[None], y[top.stop :]]), y[top]
+
+
 def _eliminate_g(
     jac: np.ndarray, rhs: np.ndarray, n_in: int, n_out: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -641,17 +657,24 @@ def _eliminate_g(
     best ``dg`` is ``-G⁺ (A_top dh + f_top)``, which leaves of those rows only
     their component along ``w``.  Returns the matrix and right-hand side of
     the T1 rows, that one row and the T3 rows above mode ``n_in + 1``, on the
-    h columns, with ``(G⁺ A_top, G⁺ f_top)``; all are copies, so ``jac`` can be
-    released.  The T2 rows are exactly zero and left out.
+    h columns (``_split_top``), with the lift ``(G⁺ A_top, G⁺ f_top)``; all
+    are new arrays, so ``jac`` can be released.  The T2 rows are exactly
+    zero and left out.
     """
-    h = slice(0, 2 * (n_in + 1))
-    top = slice(4 * n_out, 4 * n_out + 2 * n_in + 3)
-    w = _eval_at_one(n_in)
-    w /= np.linalg.norm(w)
-    a_top, f_top = jac[top, h], rhs[top]
-    mat = np.vstack([jac[: 2 * n_out, h], w @ a_top, jac[top.stop :, h]])
-    vec = np.concatenate([rhs[: 2 * n_out], [w @ f_top], rhs[top.stop :]])
+    mat, a_top = _split_top(jac[:, : 2 * (n_in + 1)], n_in, n_out)
+    vec, f_top = _split_top(rhs, n_in, n_out)
     return mat, vec, (_g_pinv(a_top, n_in), _g_pinv(f_top, n_in))
+
+
+def _lift(dh: np.ndarray, lift: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``[dh; -(G⁺ A_top dh + G⁺ f_top)]`` for ``lift = (G⁺ A_top, G⁺ f_top)``: ``dg`` completes the step."""
+    gp_a, gp_f = lift
+    return np.concatenate([dh, -(gp_a @ dh + gp_f)])
+
+
+def _minimal_norm(step: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """``step`` with its component along the orthonormal ``basis`` (if any) projected out."""
+    return step if basis is None else step - basis @ (basis.T @ step)
 
 
 def _upper_inverse(t: np.ndarray) -> np.ndarray:
@@ -663,15 +686,22 @@ def _upper_inverse(t: np.ndarray) -> np.ndarray:
     return np.block([[a, -a @ (t[:h, h:] @ d)], [np.zeros((len(t) - h, h)), d]])
 
 
-def _sigma_max(r: np.ndarray) -> float | None:
-    """The largest singular value of ``r`` by power iteration, or ``None`` where it is 0 or not finite."""
-    v, s2 = r.T @ r[:, np.argmax(np.einsum("ij,ij->j", r, r))], 0.0
+def _sigma_max(a: np.ndarray) -> float | None:
+    """The largest singular value of ``a`` by power iteration, or ``None`` where it is 0 or not finite.
+
+    It starts from ``a^T a`` times the unit vector of ``a``'s longest column,
+    so ``a`` and its triangular factor ``R`` (``a^T a = R^T R``, equal column
+    norms) give the same iteration.
+    """
+    v, s2 = a.T @ a[:, np.argmax(np.einsum("ij,ij->j", a, a))], 0.0
+    if not 0.0 < v @ v < math.inf:  # a null (or non-finite) start: sigma_max is 0 or undefined
+        return None
     for _ in range(100):  # until sigma_max^2 gains under 1e-3 of itself
-        w = r @ (v / math.sqrt(v @ v))
+        w = a @ (v / math.sqrt(v @ v))
         last, s2 = s2, w @ w
         if not s2 - last > 1e-3 * s2:
             break
-        v = r.T @ w
+        v = a.T @ w
     return math.sqrt(s2) if 0.0 < s2 < math.inf else None
 
 
@@ -719,27 +749,38 @@ def _null_block(r: np.ndarray, cut: float, block: int) -> np.ndarray | None:
     return ritz[:, null]
 
 
-def _panels(full: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """Triangularize ``full``'s first ``n`` columns in place and return its diagonal blocks.
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The diagonal blocks of 64 rows in which a triangle of order ``n`` is factored and solved."""
+    return [(j, min(j + 64, n)) for j in range(0, n, 64)]
+
+
+def _panels(full: np.ndarray, n: int) -> None:
+    """Triangularize ``full``'s first ``n`` columns in place.
 
     ``full``'s first ``n`` rows are upper triangular there, with border rows
-    below.  Each panel of 64 columns changes only its own rows and the
-    border's, so one small QR per panel does it.
+    below.  Each panel of 64 columns (``_blocks``) changes only its own rows
+    and the border's, so one small QR per panel does it.
     """
-    blocks = [(j, min(j + 64, n)) for j in range(0, n, 64)]
-    for j, e in blocks:
+    for j, e in _blocks(n):
         rows = np.r_[j:e, n : len(full)]
         full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
-    return blocks
 
 
-def _back_substitute(full: np.ndarray, blocks: list[tuple[int, int]], b: np.ndarray) -> np.ndarray:
-    """``T^-1 b`` for the triangular ``T`` on ``blocks`` of ``full`` (``_panels``), 64 rows at a time."""
-    n = blocks[-1][1]
+def _back_substitute(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``T^-1 b`` for the upper triangle ``T`` of order ``len(b)`` that leads ``t``, 64 rows at a time."""
+    n = len(b)
     x = np.zeros(b.shape)
-    for j, e in reversed(blocks):
-        x[j:e] = np.linalg.solve(full[j:e, j:e], b[j:e] - full[j:e, e:n] @ x[e:])
+    for j, e in reversed(_blocks(n)):
+        x[j:e] = np.linalg.solve(t[j:e, j:e], b[j:e] - t[j:e, e:n] @ x[e:])
     return x
+
+
+def _forward_substitute(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``T^-T b`` for ``T`` as in ``_back_substitute``: forward substitution, 64 rows at a time."""
+    y = np.array(b, dtype=float)
+    for j, e in _blocks(len(b)):
+        y[j:e] = np.linalg.solve(t[j:e, j:e].T, y[j:e] - t[:j, j:e].T @ y[:j])
+    return y
 
 
 # The pinned factor's smallest singular value is read from one sweep of
@@ -750,46 +791,85 @@ def _back_substitute(full: np.ndarray, blocks: list[tuple[int, int]], b: np.ndar
 PIN_MARGIN = 4.0
 
 
-def _pinned_step(
-    tri: np.ndarray, pin: np.ndarray, sigma: float, cut: float, block: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(dh, K)`` of ``_h_only_step`` from the factor ``[R | t]`` and a pin of ``R``'s null space, or ``None``.
+@dataclass(frozen=True)
+class _PinnedFactor:
+    """What a closing step reads of an accepted pinned step (``_closing_step``).
 
-    The pin's rows, each scaled to ``sigma`` (``R``'s largest singular
-    value), border ``[R | t | 0; C | 0 | I]``, which one panel factorization
-    and one back-substitution turn into a least-squares ``dh`` of ``R dh ~
-    -t`` (with ``C dh ~ 0``) and ``Z = [R; C]^+ [0; I]``, whose columns ``R``
-    maps to zero wherever ``C`` is one-to-one on ``ker R``.  ``K = orth(Z)``.
-    ``None`` unless ``R`` then provably has exactly as many singular values at
-    or below ``cut / 2`` as ``C`` has rows, and none in ``(cut / 2, 2 cut]``:
-    ``|R K| <= cut / 2`` gives at least that many, and a smallest singular
-    value of ``[R; C]`` above ``2 cut`` at most that many.  The latter is
-    read from one sweep of inverse iteration over ``block`` starts, with
-    ``PIN_MARGIN`` against its overestimate.
+    ``tri`` holds the triangle ``T`` of ``[mat; C]`` in its leading rows and
+    columns, ``pin`` the scaled jet rows ``C``, ``basis`` the orthonormal
+    lifted null directions and ``gp_a`` the lift's ``G⁺ A_top``.  No field is a
+    view of the Jacobian.
     """
-    n, p = len(tri), len(pin)
-    k = tri.shape[1] - n
-    full = np.zeros((n + p, n + k + p))
-    full[:n, : n + k] = tri
-    full[n:, :n] = pin * (sigma / np.linalg.norm(pin, axis=1))[:, None]
-    full[n:, n + k :] = np.eye(p)
+
+    tri: np.ndarray
+    mat: np.ndarray
+    pin: np.ndarray
+    basis: np.ndarray
+    gp_a: np.ndarray
+
+
+def _pinned_step(
+    mat: np.ndarray, rhs: np.ndarray, pin: np.ndarray, sigma: float, cut: float, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(dh, K, tri, C)`` of ``_h_only_step`` from one factorization with a pin of ``mat``'s null space, or ``None``.
+
+    The pin's rows, each scaled to ``sigma`` (``mat``'s largest singular
+    value) as ``C``, border ``[mat | rhs | 0; C | 0 | I]``; its triangular
+    factor ``tri`` (no ``Q``) and one back-substitution give a least-squares
+    ``dh`` of ``mat dh ~ -rhs`` (with ``C dh ~ 0``) and ``Z = [mat; C]^+ [0;
+    I]``, whose columns ``mat`` maps to zero wherever ``C`` is one-to-one on
+    ``ker mat``.  ``K = orth(Z)``.  ``None`` unless ``mat`` then provably has
+    exactly as many singular values at or below ``cut / 2`` as ``C`` has
+    rows, and none in ``(cut / 2, 2 cut]``: ``|mat K| <= cut / 2`` gives at
+    least that many, and a smallest singular value of ``[mat; C]`` above ``2
+    cut`` at most that many.  The latter is read from one sweep of inverse
+    iteration over ``block`` starts, with ``PIN_MARGIN`` against its
+    overestimate.
+    """
+    (m, n), p = mat.shape, len(pin)
+    k = rhs.size // m
+    scaled = pin * (sigma / np.linalg.norm(pin, axis=1))[:, None]
+    full = np.zeros((m + p, n + k + p))
+    full[:m, :n], full[:m, n : n + k] = mat, rhs.reshape(m, k)
+    full[m:, :n], full[m:, n + k :] = scaled, np.eye(p)
     try:
-        blocks = _panels(full, n)
-        # one sweep of inverse iteration: y = T^-T s by forward substitution,
-        # then T^-1 y with the right-hand sides
-        y = _start(n, block)
-        for j, e in blocks:
-            y[j:e] = np.linalg.solve(full[j:e, j:e].T, y[j:e] - full[:j, j:e].T @ y[:j])
-        x = _back_substitute(full, blocks, np.column_stack([full[:n, n:], y]))
+        tri = np.linalg.qr(full, mode="r")
+        # one sweep of inverse iteration: y = T^-T s, then T^-1 y with the right-hand sides
+        y = _forward_substitute(tri, _start(n, block))
+        x = _back_substitute(tri, np.column_stack([tri[:n, n:], y]))
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(x)):
         return None
     kernel = np.linalg.qr(x[:, k : k + p])[0]
     smallest = np.min(np.linalg.norm(y, axis=0) / np.linalg.norm(x[:, k + p :], axis=0))
-    if np.linalg.norm(tri[:, :n] @ kernel, 2) > cut / 2 or not smallest > PIN_MARGIN * 2 * cut:
+    if np.linalg.norm(mat @ kernel, 2) > cut / 2 or not smallest > PIN_MARGIN * 2 * cut:
         return None
-    return -x[:, :k], kernel
+    return -x[:, :k], kernel, tri, scaled
+
+
+def _unpinned_step(mat: np.ndarray, rhs: np.ndarray, rcond: float, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(dh, K)`` of ``_h_only_step`` through the rank-revealing block, or the SVD where it cannot certify.
+
+    ``mat dh ~ -rhs`` is factored once, ``[R | t]`` of ``[mat | rhs]``
+    without ``Q``; ``_null_block`` finds ``K`` below ``rcond`` times ``R``'s
+    largest singular value, and ``dh`` solves the full-rank ``[R; K^T] dh ~
+    [-t; 0]`` through one more triangular factor.
+    """
+    n = mat.shape[1]
+    tcols = n if rhs.ndim == 1 else slice(n, None)  # the columns of t, one per column of rhs
+    tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
+    r, t = tri[:, :n], tri[:, tcols]
+    sigma = _sigma_max(r) if len(r) == n else None
+    kernel = None if sigma is None else _null_block(r, rcond * sigma, min(block, n))
+    if kernel is None:
+        u, s, vt = np.linalg.svd(r)
+        rank = int(np.sum(s > rcond * s[0]))
+        return -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T, vt[rank:].T
+    # factor [R | t; K^T | 0] and back-substitute
+    full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1:] + t.shape[1:])])])
+    _panels(full, n)
+    return -_back_substitute(full, full[:n, tcols]), kernel
 
 
 def _h_only_step(
@@ -799,53 +879,65 @@ def _h_only_step(
     rcond: float,
     block: int = 8,
     pin: np.ndarray | None = None,
-) -> np.ndarray:
+    keep: bool = False,
+):
     """The full system's minimal-norm least-squares step ``[dh; dg]``, from ``_eliminate_g``'s problem.
 
     One step per column of ``rhs``; with the empty lift
     ``(np.zeros((0, n)), np.zeros(0))`` it is ``mat``'s own minimal-norm
-    step.  ``mat dh ~ -rhs`` is factored once: the triangular factor
-    ``[R | t]`` of ``[mat | rhs]``, without ``Q``.  The directions ``K`` that
-    ``R`` maps below ``rcond`` times its largest singular value come, with
-    ``dh``, from one bordered factorization where ``pin`` is given and
-    passes ``_pinned_step``'s rank check: rows that are one-to-one on ``ker
-    R``, as many as its dimension.  Otherwise they come from a block of
-    ``block`` columns (``_null_block``), and ``dh`` solves the full-rank
-    ``[R; K^T] dh ~ [-t; 0]`` through one more triangular factor; where the
-    block is not certain, an SVD of ``R`` gives both.  ``dg`` follows from
-    ``lift``.  The full system's least-squares steps are this one plus the
-    lift ``[K; -G⁺A K]`` of ``ker mat``, so projecting that lift out gives
-    the minimal-norm step, whatever part of ``dh`` lies along ``K``: a pin
-    chooses no disc.  It runs on one BLAS thread up to ``SERIAL_LSTSQ_COLS``
+    step.  The directions ``K`` that ``mat`` maps below ``rcond`` times its
+    largest singular value come, with ``dh``, from one factorization where
+    ``pin`` is given and passes ``_pinned_step``'s rank check: rows that are
+    one-to-one on ``ker mat``, as many as its dimension, border ``[mat |
+    rhs]``, scaled to ``sigma_max`` from a power iteration on ``mat``.
+    Otherwise ``_unpinned_step`` finds them.  ``dg`` follows from ``lift``
+    (``_lift``).  The full system's least-squares steps are this one plus
+    the lift ``[K; -G⁺ A_top K]`` of ``ker mat``, so projecting that out
+    gives the minimal-norm step, whatever part of ``dh`` lies along ``K``: a
+    pin chooses no disc.  With ``keep`` it returns ``(step, factor)``,
+    ``factor`` the ``_PinnedFactor`` of a pinned step and ``None`` for an
+    unpinned one.  It runs on one BLAS thread up to ``SERIAL_LSTSQ_COLS``
     unknowns.
     """
-    gp_a, gp_f = lift
     n = mat.shape[1]
-    tcols = n if rhs.ndim == 1 else slice(n, None)  # the columns of t, one per column of rhs
     with _blas_threads(n):
-        tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
-        r, t = tri[:, :n], tri[:, tcols]
-        sigma = _sigma_max(r) if len(r) == n else None
-        pinned = None
-        if sigma is not None and pin is not None:
-            pinned = _pinned_step(tri, pin, sigma, rcond * sigma, min(block, n))
+        sigma = _sigma_max(mat) if pin is not None and len(mat) >= n else None
+        pinned = None if sigma is None else _pinned_step(mat, rhs, pin, sigma, rcond * sigma, min(block, n))
         if pinned is not None:
-            dh, kernel = pinned[0].reshape(t.shape), pinned[1]
+            dh, kernel, tri, scaled = pinned
+            dh = dh.reshape((n,) + rhs.shape[1:])
         else:
-            kernel = None if sigma is None else _null_block(r, rcond * sigma, min(block, n))
-            if kernel is None:
-                u, s, vt = np.linalg.svd(r)
-                rank = int(np.sum(s > rcond * s[0]))
-                dh = -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T
-                kernel = vt[rank:].T
-            else:  # factor [R | t; K^T | 0] and back-substitute
-                full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1:] + t.shape[1:])])])
-                dh = -_back_substitute(full, _panels(full, n), full[:n, tcols])
-        step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
-        if kernel.size:
-            basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
-            step -= basis @ (basis.T @ step)
-    return step
+            dh, kernel = _unpinned_step(mat, rhs, rcond, block)
+        basis = np.linalg.qr(np.vstack([kernel, -lift[0] @ kernel]))[0] if kernel.size else None
+        step = _minimal_norm(_lift(dh, lift), basis)
+    if not keep:
+        return step
+    return step, None if pinned is None else _PinnedFactor(tri, mat, scaled, basis, lift[0])
+
+
+# A reduced residual below this level tries one step from the last accepted
+# pinned factor (``_closing_step``) before it linearizes, and keeps the step
+# only if it lands below ``inner_tol``; a miss costs one operator evaluation,
+# a hit saves a Jacobian and its factorization.  On newton_grid seeds 1-6
+# (64 ops each, N = 64 and 128) 1e-6 tried 644 closing steps and kept 432,
+# 1e-7 tried 595 and kept 430, 1e-8 tried 541 and kept 382; every kept one
+# moved its disc by at most 3.7e-12.
+CLOSE_LEVEL = 1e-7
+
+
+def _closing_step(factor: _PinnedFactor, vec: np.ndarray, gp_f: np.ndarray) -> np.ndarray:
+    """The minimal-norm step of ``mat dh ~ -vec`` from a stored pinned factor, without a new factorization.
+
+    ``gp_f`` is ``G⁺ f_top`` of the new right-hand side.  The semi-normal
+    equations ``T^T T dh = -mat^T vec`` (``T^T T = mat^T mat + C^T C``)
+    with one sweep of refinement on the bordered residual give the pinned
+    ``dh``; ``dg`` and the projection are ``_h_only_step``'s.
+    """
+    t, mat, pin = factor.tri, factor.mat, factor.pin
+    with _blas_threads(mat.shape[1]):
+        dh = -_back_substitute(t, _forward_substitute(t, mat.T @ vec))
+        dh -= _back_substitute(t, _forward_substitute(t, mat.T @ (mat @ dh + vec) + pin.T @ (pin @ dh)))
+        return _minimal_norm(_lift(dh, (factor.gp_a, gp_f)), factor.basis)
 
 
 def _relative_tail(series: TrigSeries) -> float:
@@ -890,16 +982,17 @@ def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> 
 # Factorizations of at most this many columns run on one BLAS thread: every
 # least-squares step (a Newton step has 2 (N + 1) unknowns when ``gt`` is
 # eliminated: N <= 383; else 4 (N + 1): N <= 191; the kernel basis'
-# weight corrections 2 (n_in + 1)) and the kernel dimension's SVD.  At that
-# size a second OpenBLAS thread buys a step little or nothing it can keep
-# (2 cores, numpy 2.4.6, the fastest of 5 runs of ``_h_only_step`` on first
-# Newton steps of the split d=4 model at b = 0.1, pinned as Newton pins them,
-# two sets: a 327 x 258 step 3.3-5.1 ms on one thread and 4.0-4.1 on two, a
-# 583 x 514 step 11.9 and 13.0-14.8), because each of the many level-2 calls
-# inside it then waits on the other core, so a step slows down two- to
-# threefold whenever another process holds that core.  Larger ones keep the
-# threads: an 839 x 770 pinned step took 29 ms on either, and a 1645 x 1028
-# coupled step 797 on one and 564 on two.
+# weight corrections 2 (n_in + 1)), every closing step and the kernel
+# dimension's SVD.  At that size a second OpenBLAS thread buys a step little
+# or nothing it can keep (2 cores, numpy 2.4.6, the fastest of 5 runs of
+# ``_h_only_step`` on first Newton steps of the split d=4 model at b = 0.1,
+# pinned as Newton pins them, four sets: a 327 x 258 step 2.7-2.8 ms on one
+# thread and 3.5-3.6 on two, a 583 x 514 step 10.3-10.7 and 11.9-12.8),
+# because each of the many level-2 calls inside it then waits on the other
+# core, so a step slows down two- to threefold whenever another process
+# holds that core.  Larger ones keep the threads: an 839 x 770 pinned step
+# took 27.5-30.6 ms on one and 27.3-29.2 on two, and a 1645 x 1028 coupled
+# step 797 on one and 564 on two.
 SERIAL_LSTSQ_COLS = 768
 
 
@@ -952,11 +1045,16 @@ def solve_newton(
     """Damped Gauss-Newton continuation with the weight frozen at ``c(b)``.
 
     Unknowns are the analytic coefficients of ``ht, gt``; every step is the
-    minimal-norm least-squares step of ``_h_only_step``, which pins the
-    in-fiber freedom (the update never moves along the residual kernel).
-    For a ``u``-free ``r`` that kernel is found through the jets of ``h`` at
-    1 (``_jet_pin``), one bordered factorization per step, and through the
-    rank-revealing block only where the pin fails its rank check.
+    minimal-norm least-squares step of a Jacobian, which pins the in-fiber
+    freedom (the update never moves along the residual kernel).  A step
+    linearizes and takes ``_h_only_step``'s step.  For a ``u``-free ``r``
+    that kernel is found through the jets of ``h`` at 1 (``_jet_pin``), one
+    factorization per step, and through the rank-revealing block only where
+    the pin fails its rank check.  The accepted pinned factor is kept for
+    one more step: where the next reduced residual lies below
+    ``CLOSE_LEVEL``, a closing step from it (``_closing_step``: no Jacobian,
+    no factorization) is tried first, and kept if it lands below
+    ``inner_tol``.  The factor goes before the next Jacobian is assembled.
     Each Jacobian stops at the multipliers' numerical carrier
     (``_carrier_n_out``), which leaves a problem about as tall as it is wide.
     When ``r`` does not involve ``u``, ``dg`` is eliminated in closed form
@@ -1005,37 +1103,48 @@ def solve_newton(
     f = stack_value(val, n_out)
     history = [float(np.max(np.abs(f)))]
     iterations = weak = 0
+    factor, rows = None, 0  # the last accepted pinned step's factor and its Jacobian's n_out
 
     def in_band(level):
         return inner_tol <= level < opts.tol
 
+    def evaluate(x_try):
+        point_try = _Point(*unpack_series(x_try, n_in))
+        val_try = _operator_value(r, qfac, c, point_try)
+        return x_try, point_try, val_try, stack_value(val_try, n_out)
+
     while history[-1] >= inner_tol and iterations < opts.max_iter:
-        op = _linearize(r, qfac, c, point, n_in, None, n_weight=None, h_only=u_free)
-        rhs, jac = stack_value(val, op.n_out), op.matrix
-        if u_free:
-            jac, rhs, lift = _eliminate_g(jac, rhs, n_in, op.n_out)
-        else:  # the coupled [h | g] problem: no dg to lift
-            lift = (np.zeros((0, jac.shape[1])), np.zeros(0))
-        # the full matrix goes now, the step's matrix and the lift right after
-        # the solve: none then lives on through the next assembly
-        del op
-        delta = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6, pin)
-        del jac, lift
-        phi0 = float(f @ f)
-        alpha = 1.0
-        while True:
-            x_try = x + alpha * delta
-            point_try = _Point(*unpack_series(x_try, n_in))
-            val_try = _operator_value(r, qfac, c, point_try)
-            f_try = stack_value(val_try, n_out)
-            if float(f_try @ f_try) <= (1.0 - 1e-4 * alpha) * phi0:
-                break
-            alpha *= 0.5
-            if alpha < 1e-10:
-                if in_band(history[-1]):
-                    _truncation_floor(point, history[-1], inner_tol, n_in)
-                _check_decay(point)  # an under-resolved iterate is the cause to report
-                raise NumericalError("line search failed to reduce the residual")
+        closed = factor is not None and history[-1] < CLOSE_LEVEL
+        if closed:
+            vec, f_top = _split_top(stack_value(val, rows), n_in, rows)
+            x_try, point_try, val_try, f_try = evaluate(x + _closing_step(factor, vec, _g_pinv(f_top, n_in)))
+            closed = float(np.max(np.abs(f_try))) < inner_tol
+        factor = None  # no stored factor lives on through the next assembly
+        if not closed:
+            op = _linearize(r, qfac, c, point, n_in, None, n_weight=None, h_only=u_free)
+            rows, rhs, jac = op.n_out, stack_value(val, op.n_out), op.matrix
+            if u_free:
+                jac, rhs, lift = _eliminate_g(jac, rhs, n_in, rows)
+            else:  # the coupled [h | g] problem: no dg to lift
+                lift = (np.zeros((0, jac.shape[1])), np.zeros(0))
+            # the full matrix goes now, the step's matrix and the lift right after
+            # the solve: none then lives on through the next assembly but in the
+            # pinned factor, which goes before it
+            del op
+            delta, factor = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6, pin, keep=True)
+            del jac, lift
+            phi0 = float(f @ f)
+            alpha = 1.0
+            while True:
+                x_try, point_try, val_try, f_try = evaluate(x + alpha * delta)
+                if float(f_try @ f_try) <= (1.0 - 1e-4 * alpha) * phi0:
+                    break
+                alpha *= 0.5
+                if alpha < 1e-10:
+                    if in_band(history[-1]):
+                        _truncation_floor(point, history[-1], inner_tol, n_in)
+                    _check_decay(point)  # an under-resolved iterate is the cause to report
+                    raise NumericalError("line search failed to reduce the residual")
         x, point, val, f = x_try, point_try, val_try, f_try
         iterations += 1
         history.append(float(np.max(np.abs(f))))

@@ -1,4 +1,7 @@
+import dataclasses
 import re
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -1104,11 +1107,11 @@ def _newton_steps(d, split, b, n=64, count=2):
     class Enough(Exception):
         pass
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         calls.append(args)
         if len(calls) == count:
             raise Enough
-        return _h_only_step(*args)
+        return _h_only_step(*args, **kwargs)
 
     model, half = _grid_model(d, split), d // 2
     r = DefiningFunction(model, (PerturbationTerm(half + 1, half, 0, {(0, 0): 1e-3}),), {})
@@ -1157,6 +1160,143 @@ def test_a_pin_that_does_not_fit_the_null_space_falls_back_to_the_block(monkeypa
         monkeypatch.undo()
 
 
+def _two_stage_pinned_step(mat, rhs, lift, rcond, block, pin):
+    """The pinned step through two factorizations, the reference for the one-QR step.
+
+    First ``[R | t]`` of ``[mat | rhs]``; then the pin's rows, scaled to
+    ``R``'s largest singular value, border ``[R | t | 0; C | 0 | I]``, whose
+    first ``n`` columns panels of 64 triangularize; one triangular solve
+    gives ``dh`` and ``Z``, and the step is projected to the minimal norm.
+    """
+    gp_a, gp_f = lift
+    n, p = mat.shape[1], len(pin)
+    tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
+    sigma = solver._sigma_max(tri[:, :n])
+    full = np.zeros((n + p, n + 1 + p))
+    full[:n, : n + 1] = tri
+    full[n:, :n] = pin * (sigma / np.linalg.norm(pin, axis=1))[:, None]
+    full[n:, n + 1 :] = np.eye(p)
+    for j in range(0, n, 64):  # each panel changes only its own rows and the border's
+        rows = np.r_[j : min(j + 64, n), n : n + p]
+        full[rows, j:] = np.linalg.qr(full[rows, j : min(j + 64, n)], mode="complete")[0].T @ full[rows, j:]
+    x = np.linalg.solve(np.triu(full[:n, :n]), full[:n, n:])
+    dh, kernel = -x[:, 0], np.linalg.qr(x[:, 1:])[0]
+    step = np.concatenate([dh, -(gp_a @ dh + gp_f)])
+    basis, _ = np.linalg.qr(np.vstack([kernel, -gp_a @ kernel]))
+    return step - basis @ (basis.T @ step)
+
+
+@pytest.mark.parametrize("bmag", [0.1, 0.45])
+@pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
+def test_one_qr_pinned_step_is_the_two_stage_one(monkeypatch, d, split, bmag):
+    # Newton's first step of each newton_grid shape factors [mat | rhs | 0; C | 0 | I]
+    # once: no panel pass over a bordered triangle and no rank-revealing
+    # block, and the step is the two-stage computation's within the bounds
+    # the pinned and unpinned steps keep
+    (mat, rhs, lift, rcond, block, pin), = _newton_steps(d, split, bmag, count=1)
+    panels, blocks = _counting(monkeypatch, "_panels"), _counting(monkeypatch, "_null_block")
+    step = _h_only_step(mat, rhs, lift, rcond, block, pin)
+    assert not panels and not blocks
+    monkeypatch.undo()
+    ref = _two_stage_pinned_step(mat, rhs, lift, rcond, block, pin)
+    oracle = _svd_step(mat, rhs, lift, rcond)[0]
+    spread = np.linalg.norm(_svd_step(mat, rhs, lift, rcond, transposed=True)[0] - oracle) / np.linalg.norm(oracle)
+    bound = 1e-12 if bmag == 0.1 else max(1e-12, 4 * spread)
+    assert np.linalg.norm(step - ref) <= bound * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bmag", [0.1, 0.45])
+@pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
+def test_a_closing_step_on_its_own_right_hand_side_is_the_pinned_step(d, split, bmag):
+    # the semi-normal equations with one refinement sweep give the factored
+    # step back from the stored factor alone (measured <= 7.7e-12; without
+    # the sweep d6-k3 at |b| = 0.45 is 3.5e-9 off)
+    (mat, rhs, lift, rcond, block, pin), = _newton_steps(d, split, bmag, count=1)
+    step, factor = _h_only_step(mat, rhs, lift, rcond, block, pin, keep=True)
+    closing = solver._closing_step(factor, rhs, lift[1])
+    assert np.linalg.norm(closing - step) <= 1e-10 * np.linalg.norm(step)
+
+
+def test_a_zero_matrix_has_no_largest_singular_value_and_steps_quietly():
+    # sigma_max of a null matrix is undefined: None before any 0 / 0, so the
+    # step takes the SVD, pinned or not, without a floating-point warning
+    rng = np.random.default_rng(2)
+    mat, rhs = np.zeros((12, 10)), rng.standard_normal(12)
+    lift = (rng.standard_normal((10, 10)), rng.standard_normal(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver._sigma_max(mat) is None
+        steps = [_h_only_step(mat, rhs, lift, 1e-8, 8, pin) for pin in (None, solver._jet_pin(4, 1))]
+    assert np.array_equal(steps[0], steps[1]) and np.all(np.isfinite(steps[0]))
+
+
+def test_the_eliminated_problem_owns_its_arrays():
+    # _eliminate_g copies what it reads, so the Jacobian can go before the step
+    op, rhs = _first_step(6, True)
+    mat, vec, lift = _eliminate_g(op.matrix, rhs, op.n_in, op.n_out)
+    for arr in (mat, vec, *lift):
+        assert not np.shares_memory(arr, op.matrix) and not np.shares_memory(arr, rhs)
+
+
+# newton_grid seed 1 d4-k2-b0.1-p1 and d6-k3-b0.45-p0
+_CLOSES = (0.01870030015726964 + 0.09823593422993453j, -0.0006235747020970552 + 0.0007817637692452682j)
+_STALLS = (0.08462040990229774 + 0.4419721554894235j, 0.0009707562518859666 + 0.000240067281036608j)
+
+
+def test_a_converging_solve_closes_on_its_last_factor(monkeypatch):
+    # the third step of a three-step solve starts below CLOSE_LEVEL and comes
+    # from the second step's factor: one Jacobian fewer, the same disc
+    linearized = _counting(monkeypatch, "_linearize")
+    closed = _grid_solve(4, False, *_CLOSES, 64)
+    assert closed.iterations == 3 and len(linearized) == 2
+    monkeypatch.setattr(solver, "CLOSE_LEVEL", 0.0)
+    linearized.clear()
+    full = _grid_solve(4, False, *_CLOSES, 64)
+    assert full.iterations == 3 and len(linearized) == 3
+    assert coeff_distance(closed.disc.h, full.disc.h) <= 1e-11
+    assert coeff_distance(closed.disc.g, full.disc.g) <= 1e-11
+
+
+def test_closing_steps_that_miss_leave_the_stall_as_it_was(monkeypatch):
+    # two closing steps from below CLOSE_LEVEL miss inner_tol and are
+    # discarded; the solve stalls where and as it did without them
+    closings = _counting(monkeypatch, "_closing_step")
+    with pytest.raises(NumericalError) as info:
+        _grid_solve(6, False, *_STALLS, 64)
+    assert len(closings) == 2
+    assert str(info.value) == (
+        "series truncation too small: reduced residual stalls at 2.244e-11 above inner_tol 1.0e-11 at N = 64 "
+        "(relative coefficient tails h 1.7e-10, g 2.5e-08); a larger N resolves the disc"
+    )
+
+
+def test_the_stored_factor_holds_no_jacobian_and_goes_before_the_next_one(monkeypatch):
+    # every field of a stored factor is its own array, and no factor is alive
+    # when the next Jacobian is assembled
+    jacobians, factors = [], []
+    linearize, step = solver._linearize, solver._h_only_step
+
+    def recording_linearize(*args, **kwargs):
+        assert all(ref() is None for ref in factors)
+        op = linearize(*args, **kwargs)
+        jacobians.append(op.matrix)
+        return op
+
+    def recording_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        if kwargs.get("keep") and out[1] is not None:
+            for f in dataclasses.fields(out[1]):
+                assert not any(np.shares_memory(getattr(out[1], f.name), jac) for jac in jacobians)
+            factors.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(solver, "_linearize", recording_linearize)
+    monkeypatch.setattr(solver, "_h_only_step", recording_step)
+    with pytest.raises(NumericalError, match="stalls"):
+        _grid_solve(6, False, *_STALLS, 64)
+    assert len(jacobians) == 5 and len(factors) == 5
+
+
 def test_g_pinv_inverts_g_on_its_range():
     # G: the T3 rows of modes 0 .. n_in + 1 against the gt columns; its range
     # is the orthogonal complement of w, evaluation at zeta = 1
@@ -1180,9 +1320,9 @@ def test_u_dependent_solve_takes_the_coupled_step(monkeypatch):
     init = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=32)
     cols, step = [], solver._h_only_step
 
-    def recording(mat, *args):
+    def recording(mat, *args, **kwargs):
         cols.append(mat.shape[1])
-        return step(mat, *args)
+        return step(mat, *args, **kwargs)
 
     def eliminated(*args):
         raise AssertionError("g eliminated for a u-dependent r")
