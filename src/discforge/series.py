@@ -287,8 +287,9 @@ class Powers:
     """The powers ``base^n`` of one series, each built once and on demand.
 
     Power ``n`` is ``multiply(base^(n-1), base)``; power 0 is the constant 1
-    and power 1 is ``base`` itself.  Every monomial substitution (boundary
-    traces, the factored operator, disc composition) reads its powers here.
+    and power 1 is ``base`` itself.  The plain boundary traces and disc
+    composition read their powers here; the solver's factored traces read
+    the products of its own table (``solver._Point``).
     """
 
     def __init__(self, base: TrigSeries):

@@ -18,8 +18,9 @@ zeta)`` is a one-sided geometric series in ``zeta``.  Every trace the
 operator and its multipliers need is this one substitution, ``_trace``,
 multiplied back by ``(1 - zeta)^extra`` (``extra = d - 1`` gives the plain
 trace).  Each iterate ``(ht, gt)`` is one ``_Point``: it holds ``h``, ``g``,
-``Re g`` and the one ``series.Powers`` cache of ``1 - zeta``, ``ht``, ``conj
-ht`` and ``gt + conj(zeta gt)`` that every trace at that point reads.
+``Re g`` and one product table, the products ``ht^a conj(ht)^b (gt +
+conj(zeta gt))^e`` as raw coefficient windows, each built once and read by
+every trace at that point.
 
 The linearization is assembled from multiplier series and index shifts, never
 from finite differences; a difference quotient appears only in the tests as an
@@ -48,11 +49,9 @@ from .perturb import DefiningFunction, x_norm_distance
 from .series import (
     CARRIER_GATE,
     ONE_MINUS,
-    Powers,
     TrigSeries,
     divide_one_minus_zeta,
     multiply,
-    sum_terms,
 )
 
 __all__ = [
@@ -123,12 +122,28 @@ class SolverOptions:
 # ---- the point of one iterate -------------------------------------------------
 
 
-class _Point:
-    """The disc ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` with the powers its substitutions read.
+def _nonzero(arr: np.ndarray, lo: int) -> tuple[np.ndarray, int] | None:
+    """The raw window ``(coeffs, lowest mode)`` of the coefficients ``arr`` from mode ``lo``, or ``None`` if all are 0.
 
-    ``factored`` holds the powers of ``1 - zeta``, ``ht``, ``conj ht`` and
-    ``gt + conj(zeta gt)``, the one cache every ``_trace`` at this point reads;
-    each power is built the first time a trace asks for it, and only then.
+    It runs from the first to the last nonzero coefficient, so no product
+    convolves exact zeros (an end can underflow, or a sum cancel, to 0).
+    """
+    idx = arr.nonzero()[0]
+    if not idx.size:
+        return None
+    return arr[idx[0] : idx[-1] + 1], lo + int(idx[0])
+
+
+class _Point:
+    """The disc ``h = (1 - zeta) ht``, ``g = (1 - zeta) gt`` with the products its substitutions read.
+
+    ``bases`` holds the raw nonzero windows (``_nonzero``) of ``ht``, ``conj ht``
+    and ``u = gt + conj(zeta gt)``, and ``orders`` their formal orders.
+    ``table`` is the one product table every ``_trace`` at this point reads:
+    entry ``(a, b, e)`` is the raw window of ``ht^a conj(ht)^b u^e`` (``None``
+    where it is 0), built by ``product`` the first time a trace asks for it,
+    and only then: by one convolution of a lower entry with one base, or,
+    without ``u`` and for ``a > b``, as the conjugate mirror of ``(b, a, 0)``.
     """
 
     def __init__(self, htilde: TrigSeries, gtilde: TrigSeries):
@@ -136,7 +151,10 @@ class _Point:
         self.g = multiply(ONE_MINUS, gtilde)
         self.re_g = (self.g + self.g.conjugate()) * 0.5
         u = gtilde + gtilde.shift(1).conjugate()
-        self.factored = tuple(Powers(base) for base in (ONE_MINUS, htilde, htilde.conjugate(), u))
+        self.bases = tuple(_nonzero(base.coeffs, -base.n_max) for base in (htilde, htilde.conjugate(), u))
+        self.orders = (htilde.n_max, htilde.n_max, u.n_max)
+        unit = (np.ones(1, dtype=complex), 0)
+        self.table = dict(zip([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], (unit, *self.bases)))
 
     @classmethod
     def of_disc(cls, disc: LiftedDisc) -> "_Point":
@@ -145,6 +163,29 @@ class _Point:
         except ValueError as exc:
             raise ConfigError(f"disc components not divisible by 1 - zeta: {exc}") from None
         return cls(htilde, gtilde)
+
+    def product(self, key: tuple[int, int, int]) -> tuple[np.ndarray, int] | None:
+        """The table's entry ``(a, b, e)``: ``ht^a conj(ht)^b u^e`` as a raw window, or ``None`` for 0."""
+        if key not in self.table:
+            self.table[key] = self._build(key)
+        return self.table[key]
+
+    def _build(self, key: tuple[int, int, int]) -> tuple[np.ndarray, int] | None:
+        """Entry ``key`` from a lower one: the conjugate mirror of ``(b, a, 0)``, or one convolution with a base.
+
+        ``ht^a conj(ht)^b`` with ``a > b`` is the conjugate of ``ht^b
+        conj(ht)^a``, so it costs no product; otherwise ``u``'s exponent is
+        lowered first, then ``ht``'s, then ``conj ht``'s.
+        """
+        a, b, e = key
+        if not e and a > b:
+            mirror = self.product((b, a, 0))
+            return None if mirror is None else (mirror[0][::-1].conj(), 1 - len(mirror[0]) - mirror[1])
+        i = 2 if e else 0 if a else 1
+        low, base = self.product(tuple(k - (j == i) for j, k in enumerate(key))), self.bases[i]
+        if low is None or base is None:
+            return None
+        return _nonzero(np.convolve(low[0], base[0]), low[1] + base[1])
 
 
 def _trace(
@@ -162,38 +203,61 @@ def _trace(
     Each monomial ``z^a zbar^b u^e`` carries ``(1 - zeta)^(a+b+e)`` along the
     point, so the quotient is exact: ``extra`` is 0 for the reduced ``r_z``, 1
     for a first-order direction of it, ``d - 1`` for the plain trace and ``d``
-    for the plain trace times ``1 - zeta``.  The sum is then multiplied by
-    ``c`` (if given), shifted by ``zeta^k0`` and divided by ``s`` (if ``qfac``
-    has outside roots).  As ``1 / (q - zeta) = sum q^(-m-1) zeta^m`` for
-    ``|q| > 1``, mode ``m`` of a quotient reads only the modes at or below
-    ``m``: it is kept to ``max(n, keep)``, ``n`` the dividend's order, and exact.
+    for the plain trace times ``1 - zeta``.  The term of a monomial is
+    ``kappa (-1)^b (-i/2)^e zeta^-b (1 - zeta)^expo`` times the point's table
+    entry ``(a, b, e)`` (``_Point.product``); the terms go into one buffer
+    over the union of their raw windows, by powers of ``1 - zeta`` from the
+    highest down (Horner), each power's in sorted monomial order.  The sum
+    is then multiplied by ``c`` (if given), shifted by ``zeta^k0`` and
+    divided by ``s`` (if ``qfac`` has outside roots), all on raw windows;
+    one series is made at the end, of the order a chain of series products
+    would give it.  As ``1 / (q - zeta) = sum q^(-m-1) zeta^m`` for ``|q| >
+    1``, mode ``m`` of a quotient reads only the modes at or below ``m``: it
+    is kept to ``max(n, keep)``, ``n`` the dividend's order, and exact.
     """
-    om, ph, phb, pu = point.factored
-
-    def terms():
-        for (a, b, e), kappa in sorted(mon.items()):
-            expo = a + b + e + extra - (d - 1)
-            if expo < 0:
-                raise NumericalError("vanishing-order bookkeeping violated")
-            term = om[expo]
-            if a:
-                term = multiply(term, ph[a])
-            if b:
-                term = multiply(term, phb[b])
-            if e:
-                term = multiply(term, pu[e])
-            yield term, kappa * (-1.0) ** b * (-0.5j) ** e, -b
-
-    out = sum_terms(terms())
+    terms, n = [], 0  # n: the formal order of the sum
+    for (a, b, e), kappa in sorted(mon.items()):
+        expo = a + b + e + extra - (d - 1)
+        if expo < 0:
+            raise NumericalError("vanishing-order bookkeeping violated")
+        n = max(n, expo + a * point.orders[0] + b * point.orders[1] + e * point.orders[2] + b)
+        prod = point.product((a, b, e))
+        if prod is not None:
+            terms.append((expo, prod[0], prod[1] - b, kappa * (-1.0) ** b * (-0.5j) ** e))
+    raw = None
+    if terms:
+        # Horner in 1 - zeta: the terms of the highest power first, those of one
+        # power in sorted monomial order; each factor is a difference in place
+        terms.sort(key=lambda term: -term[0])
+        lo, power = min(term[2] for term in terms), terms[0][0]
+        buf = np.zeros(max(start + len(coeffs) + expo for expo, coeffs, start, _ in terms) - lo, dtype=complex)
+        for expo, coeffs, start, coef in terms:
+            for _ in range(power - expo):
+                buf[1:] -= buf[:-1]
+            power = expo
+            buf[start - lo : start - lo + len(coeffs)] += coeffs * coef
+        for _ in range(power):
+            buf[1:] -= buf[:-1]
+        raw = _nonzero(buf, lo)
     if c is not None:
-        out = multiply(c, out)
-    out = out.shift(k0)
+        wc = _nonzero(c.coeffs, -c.n_max)
+        raw = None if raw is None or wc is None else (np.convolve(raw[0], wc[0]), raw[1] + wc[1])
+        n += c.n_max
+    if raw is not None:
+        raw = raw[0], raw[1] + k0
+    n += abs(k0)
     # no kept mode reads a lag past top + n, and lags past 39 / ln|q| weigh below e^-39
-    n, top = out.n_max, max(out.n_max, keep)
+    hi, top = n, max(n, keep)
     for q in qfac.roots_outside if qfac is not None else ():
         lags = min(top + n, math.ceil(39 / math.log(abs(q))))
-        out = multiply(out, TrigSeries.geometric(1 / q, lags)).truncate(top).scale(1 / q)
-    return out
+        geometric = TrigSeries.geometric(1 / q, lags).coeffs[lags:]
+        if raw is not None:
+            raw = np.convolve(raw[0], geometric)[: top - raw[1] + 1] * (1 / q), raw[1]
+        hi = min(hi + lags, top)
+    out = np.zeros(2 * hi + 1, dtype=complex)
+    if raw is not None:
+        out[hi + raw[1] : hi + raw[1] + len(raw[0])] = raw[0]
+    return TrigSeries._adopt(out)
 
 
 # ---- evaluation ---------------------------------------------------------------
@@ -600,14 +664,17 @@ def _g_pinv(y: np.ndarray, n_in: int) -> np.ndarray:
     ``G`` is injective and its range is ``{y : w . y = 0}`` (``w`` from
     ``_eval_at_one``), so ``G⁺`` projects ``w`` out, reads ``p = (1 - zeta) gt``
     off the rows, with ``Im p_0`` from ``p(1) = 0``, and sums ``gt`` back
-    from ``p``.  O(n) per column of ``y``.
+    from ``p``.  ``w`` is 1 on row 0, 2 on the odd rows and 0 on the even
+    ones, so the projection touches only the rows ``p`` reads of the former.
+    O(n) per column of ``y``.
     """
     w = _eval_at_one(n_in)
-    y = y - np.multiply.outer(w, w @ y) / (w @ w)
+    along = w @ y
     # Re p and Im p of the modes 0 .. n_in; p_m = -2 (y_{2m-1} + i y_{2m}) for m >= 1
     re, im = np.empty((2, n_in + 1) + y.shape[1:])
-    re[0], im[0] = -y[0], 2.0 * y[2::2].sum(axis=0)
-    np.multiply(y[1:-2:2], -2.0, out=re[1:])
+    re[0], im[0] = -(y[0] - along / (w @ w)), 2.0 * y[2::2].sum(axis=0)
+    np.subtract(y[1:-2:2], 2.0 * along / (w @ w), out=re[1:])
+    re[1:] *= -2.0
     np.multiply(y[2:-1:2], -2.0, out=im[1:])
     out = np.empty((2 * (n_in + 1),) + y.shape[1:])
     np.cumsum(re, axis=0, out=out[0::2])

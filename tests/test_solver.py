@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
+import math
 import re
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,15 @@ from discforge.exceptions import ConfigError, NumericalError
 from discforge.model import ModelPolynomial, QFactorization, factor_Q
 from discforge.jets import jet_map
 from discforge.perturb import DefiningFunction, PerturbationTerm, dilate
-from discforge.series import ONE_MINUS, TrigSeries, coeff_distance, divide_one_minus_zeta, multiply
+from discforge.series import (
+    ONE_MINUS,
+    Powers,
+    TrigSeries,
+    coeff_distance,
+    divide_one_minus_zeta,
+    multiply,
+    sum_terms,
+)
 from discforge.solver import (
     SolverOptions,
     eval_T_prime,
@@ -559,6 +570,120 @@ def test_division_by_s_is_exact_up_to_the_kept_order(monkeypatch, roots, keep):
     assert len(lags) == len(roots) and all(lag <= top + n for lag in lags)
     back = multiply(quotient, qfac.s_poly()).truncate(top)
     assert coeff_distance(back, x) <= 1e-13 * float(np.max(np.abs(x.coeffs)))
+
+
+def _per_term_trace(mon, d, tildes, extra, c=None, k0=0, qfac=None, keep=0):
+    """``_trace`` as a chain of series products per monomial: the reference for the product table.
+
+    Each monomial's term is ``(1 - zeta)^expo ht^a conj(ht)^b u^e``, multiplied
+    out from the powers of each factor, and the terms are summed as series.
+    """
+    htilde, gtilde = tildes
+    bases = (ONE_MINUS, htilde, htilde.conjugate(), gtilde + gtilde.shift(1).conjugate())
+    om, ph, phb, pu = (Powers(base) for base in bases)
+
+    def terms():
+        for (a, b, e), kappa in sorted(mon.items()):
+            term = om[a + b + e + extra - (d - 1)]
+            for pows, k in ((ph, a), (phb, b), (pu, e)):
+                if k:
+                    term = multiply(term, pows[k])
+            yield term, kappa * (-1.0) ** b * (-0.5j) ** e, -b
+
+    out = sum_terms(terms())
+    if c is not None:
+        out = multiply(c, out)
+    out = out.shift(k0)
+    n, top = out.n_max, max(out.n_max, keep)
+    for q in qfac.roots_outside if qfac is not None else ():
+        lags = min(top + n, math.ceil(39 / math.log(abs(q))))
+        out = multiply(out, TrigSeries.geometric(1 / q, lags)).truncate(top).scale(1 / q)
+    return out
+
+
+class _KeptPoint(_Point):
+    """A ``_Point`` that keeps the ``(ht, gt)`` it was made of, for the reference traces."""
+
+    def __init__(self, htilde, gtilde):
+        super().__init__(htilde, gtilde)
+        self.tildes = (htilde, gtilde)
+
+
+def _first_iterates(d, split, bmag, n, count=2):
+    """``(r, qfac, c, points)``: the first ``count`` iterates of a newton_grid solve that linearizes at every one."""
+    seen = []
+
+    class Enough(Exception):
+        pass
+
+    linearize = solver._linearize
+
+    def recording(defn, qfac, c, point, *args, **kwargs):
+        seen.append((defn, qfac, c, point))
+        if len(seen) == count:
+            raise Enough
+        return linearize(defn, qfac, c, point, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(Enough):
+        patch.setattr(solver, "_Point", _KeptPoint)
+        patch.setattr(solver, "_linearize", recording)
+        patch.setattr(solver, "CLOSE_LEVEL", 0.0)
+        _grid_solve(d, split, bmag, 1e-3, n)
+    return (*seen[0][:3], [point for *_, point in seen])
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("bmag", [0.1, 0.45])
+@pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
+def test_traces_off_the_product_table_are_the_per_term_products(monkeypatch, d, split, bmag, n):
+    # every trace the operator value and the multipliers read at the first and
+    # second Newton iterate, the weight's included, has the order and, to 2e-13
+    # of its largest coefficient, the coefficients of the chain of series
+    # products per monomial that the product table replaced.  The bound is the
+    # rounding of the sums, not a tolerance of the table: the d6-k4 |b| = 0.45
+    # operator trace T1 cancels to 1e-14 in its negative modes, and there the
+    # chain itself lies up to 1.4e-13 (and the table 1.5e-13) of the largest
+    # coefficient from the same chain in extended precision
+    r, qfac, c, points = _first_iterates(d, split, bmag, n)
+    trace, seen = solver._trace, []
+
+    def recording(mon, d, point, extra, *args, **kwargs):
+        out = trace(mon, d, point, extra, *args, **kwargs)
+        seen.append((out, _per_term_trace(mon, d, point.tildes, extra, *args, **kwargs)))
+        return out
+
+    monkeypatch.setattr(solver, "_trace", recording)
+    for point in points:
+        _operator_value(r, qfac, c, point)
+        _multipliers(r, qfac, c, point, n, n)
+    assert len(seen) == 2 * (3 + 8 + 2)
+    for got, ref in seen:
+        assert got.n_max == ref.n_max
+        assert coeff_distance(got, ref) <= 2e-13 * np.max(np.abs(ref.coeffs))
+
+
+@pytest.mark.parametrize("term", [PerturbationTerm(4, 3, 0, {(0, 0): 1e-3}), PerturbationTerm(2, 3, 1, {(0, 0): 1e-3})])
+def test_each_table_entry_is_built_once_per_iterate(monkeypatch, term):
+    # the operator value and the multipliers at one point read one table: each
+    # entry (a, b, e) is built the first time a trace asks for it and never
+    # again, also where r involves u and the entries carry powers of it
+    model = _grid_model(6, True)
+    r, qfac = DefiningFunction(model, (term,), {}), factor_Q(model)
+    init = model_disc(model, ModelDiscParams(0.45, 1.0), n_max=64)
+    point = _Point(*(divide_one_minus_zeta(s, tol=1e-6).truncate(64).pad_to(64) for s in (init.h, init.g)))
+    build, built = _Point._build, []
+
+    def counted(self, key):
+        built.append(key)
+        return build(self, key)
+
+    monkeypatch.setattr(_Point, "_build", counted)
+    for _ in range(2):
+        _operator_value(r, qfac, init.c, point)
+        _multipliers(r, qfac, init.c, point, 64, None)
+    assert len(built) == len(set(built))
+    assert set(built) == set(point.table) - {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert any(e for _, _, e in built) == bool(term.l)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.2])
@@ -1295,6 +1420,30 @@ def test_the_stored_factor_holds_no_jacobian_and_goes_before_the_next_one(monkey
     with pytest.raises(NumericalError, match="stalls"):
         _grid_solve(6, False, *_STALLS, 64)
     assert len(jacobians) == 5 and len(factors) == 5
+
+
+def test_newton_linearizations_fault_few_pages(monkeypatch):
+    # the first 8 ops of the benchmark's newton_grid stream at seed 1, run once
+    # to grow the heap to what they need (about 80 minor page faults per
+    # Jacobian) and then measured: no fault at all, against about 10 per
+    # Jacobian over a 64-op benchmark run.  Heap the allocator hands back and
+    # faults in again at every iteration costs ~900 per Jacobian (glibc's trim
+    # storm, _linearize's comment), and assembling the eliminated system
+    # straight into the step's buffer 150-250; the bound is 5 x 10
+    resource = pytest.importorskip("resource")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    grid = workloads.NewtonGrid(None, 1)
+    grid.setup()
+    for op in itertools.islice(grid.ops(), 8):
+        grid.run_op(op)
+    linearized = _counting(monkeypatch, "_linearize")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for op in itertools.islice(grid.ops(), 8):
+        grid.run_op(op)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert linearized and faults <= 50 * len(linearized)
 
 
 def test_g_pinv_inverts_g_on_its_range():
