@@ -586,7 +586,9 @@ def kernel_basis_p0(
     The weight corrections are one Newton step, a right-hand-side column per
     direction, on the linearization whose rows stop at the multipliers'
     carrier: the pure model is ``u``-free and the weight columns' T2 rows
-    are zero (``-1/2 zeta^k0 2 Re zeta^n`` has no negative mode).  Each
+    are zero (``-1/2 zeta^k0 2 Re zeta^n`` has no negative mode).  It
+    takes Newton's jet pin (``_jet_pin``), since its ``h``-only matrix has
+    the same ``2 k0 - d + 2`` null directions.  Each
     homogeneous direction ``dh`` gets its ``g`` from the same step's lift,
     ``dg = -G⁺ A_top dh`` (``_eliminate_g``): the harmonic conjugation that
     fixes ``Re g`` on the boundary, as in every Newton step.
@@ -597,7 +599,7 @@ def kernel_basis_p0(
     op = _linearize(defn, qfac, disc.c, _Point.of_disc(disc), n_in, None, k0)
     matrix = op.matrix
     mat, rhs, lift = _eliminate_g(matrix[:, op.hg_cols], matrix[:, op.weight_cols], n_in, op.n_out)
-    sol = _h_only_step(mat, rhs, lift, threshold, 2 * k0 - d + 6)
+    sol = _h_only_step(mat, rhs, lift, threshold, _jet_pin(n_in, k0 - d // 2 + 1))
     shapes = [TrigSeries.constant(1.0)]
     shapes += [binomial_tail(root, order, n_in) for root, mult in qfac.roots_inside for order in range(mult)]
     zero = TrigSeries.zero(0)
@@ -744,15 +746,6 @@ def _minimal_norm(step: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
     return step if basis is None else step - basis @ (basis.T @ step)
 
 
-def _upper_inverse(t: np.ndarray) -> np.ndarray:
-    """The inverse of the upper-triangular ``t``, by 2 x 2 block recursion into matrix products."""
-    h = len(t) // 2
-    if h <= 32:
-        return np.linalg.inv(t)
-    a, d = _upper_inverse(t[:h, :h]), _upper_inverse(t[h:, h:])
-    return np.block([[a, -a @ (t[:h, h:] @ d)], [np.zeros((len(t) - h, h)), d]])
-
-
 def _sigma_max(a: np.ndarray) -> float | None:
     """The largest singular value of ``a`` by power iteration, or ``None`` where it is 0 or not finite.
 
@@ -780,57 +773,9 @@ def _start(n: int, block: int) -> np.ndarray:
     return np.sin(np.arange(1.0, n * block + 1).reshape(n, block) * 12.9898) * 43758.5453 % 1.0 - 0.5
 
 
-def _null_block(r: np.ndarray, cut: float, block: int) -> np.ndarray | None:
-    """Orthonormal right singular vectors of the square ``r`` at ``sigma <= cut``, or ``None``.
-
-    Inverse iteration on ``r^T r + cut^2 I`` brings every null direction near
-    ``1 / cut^2``, however small its sigma, and a kept one at ``sigma >= 2
-    cut`` to at most a fifth of that.  ``None`` where the block cannot certify
-    its answer: a failed or non-finite factorization, sweeps that do not
-    settle, a block null throughout, or a Ritz value within a factor 2 of the
-    cut.  Newton's ``u``-free steps come here only where their jet pin fails
-    its rank check (``_pinned_step``); the coupled step and the kernel
-    basis' weight corrections always do.
-    """
-    try:
-        inv = _upper_inverse(np.linalg.qr(np.vstack([r, cut * np.eye(len(r))]), mode="r"))
-        w, last = inv @ (inv.T @ _start(len(r), block)), math.inf
-        for _ in range(8):  # sweeps, until the null pairs' worst relative residual stops halving
-            z = np.linalg.qr(w)[0]
-            y = inv.T @ z
-            w = inv @ y
-            lam, vec = np.linalg.eigh(y.T @ y)
-            ritz = z @ vec
-            theta, resid = (np.sqrt(np.einsum("ij,ij->j", a, a)) for a in (r @ ritz, w @ vec - ritz * lam))
-            null = theta <= cut
-            worst = (resid / lam)[null].max(initial=0.0)
-            if worst <= 1e-15 or worst > last / 2:
-                break
-            last = worst
-        else:
-            return None
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(theta)) or null.all() or np.any((theta > cut / 2) & (theta < 2 * cut)):
-        return None
-    return ritz[:, null]
-
-
 def _blocks(n: int) -> list[tuple[int, int]]:
-    """The diagonal blocks of 64 rows in which a triangle of order ``n`` is factored and solved."""
+    """The diagonal blocks of 64 rows in which a triangle of order ``n`` is solved."""
     return [(j, min(j + 64, n)) for j in range(0, n, 64)]
-
-
-def _panels(full: np.ndarray, n: int) -> None:
-    """Triangularize ``full``'s first ``n`` columns in place.
-
-    ``full``'s first ``n`` rows are upper triangular there, with border rows
-    below.  Each panel of 64 columns (``_blocks``) changes only its own rows
-    and the border's, so one small QR per panel does it.
-    """
-    for j, e in _blocks(n):
-        rows = np.r_[j:e, n : len(full)]
-        full[rows, j:] = np.linalg.qr(full[rows, j:e], mode="complete")[0].T @ full[rows, j:]
 
 
 def _back_substitute(t: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -876,7 +821,7 @@ class _PinnedFactor:
 
 
 def _pinned_step(
-    mat: np.ndarray, rhs: np.ndarray, pin: np.ndarray, sigma: float, cut: float, block: int
+    mat: np.ndarray, rhs: np.ndarray, pin: np.ndarray, sigma: float, cut: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """``(dh, K, tri, C)`` of ``_h_only_step`` from one factorization with a pin of ``mat``'s null space, or ``None``.
 
@@ -890,8 +835,8 @@ def _pinned_step(
     rows, and none in ``(cut / 2, 2 cut]``: ``|mat K| <= cut / 2`` gives at
     least that many, and a smallest singular value of ``[mat; C]`` above ``2
     cut`` at most that many.  The latter is read from one sweep of inverse
-    iteration over ``block`` starts, with ``PIN_MARGIN`` against its
-    overestimate.
+    iteration over ``len(pin) + 4`` starts (at most ``n``), with
+    ``PIN_MARGIN`` against its overestimate.
     """
     (m, n), p = mat.shape, len(pin)
     k = rhs.size // m
@@ -902,7 +847,7 @@ def _pinned_step(
     try:
         tri = np.linalg.qr(full, mode="r")
         # one sweep of inverse iteration: y = T^-T s, then T^-1 y with the right-hand sides
-        y = _forward_substitute(tri, _start(n, block))
+        y = _forward_substitute(tri, _start(n, min(p + 4, n)))
         x = _back_substitute(tri, np.column_stack([tri[:n, n:], y]))
     except np.linalg.LinAlgError:
         return None
@@ -915,28 +860,21 @@ def _pinned_step(
     return -x[:, :k], kernel, tri, scaled
 
 
-def _unpinned_step(mat: np.ndarray, rhs: np.ndarray, rcond: float, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(dh, K)`` of ``_h_only_step`` through the rank-revealing block, or the SVD where it cannot certify.
+def _unpinned_step(mat: np.ndarray, rhs: np.ndarray, rcond: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(dh, K)`` of ``_h_only_step`` through the SVD of ``mat``'s triangular factor.
 
-    ``mat dh ~ -rhs`` is factored once, ``[R | t]`` of ``[mat | rhs]``
-    without ``Q``; ``_null_block`` finds ``K`` below ``rcond`` times ``R``'s
-    largest singular value, and ``dh`` solves the full-rank ``[R; K^T] dh ~
-    [-t; 0]`` through one more triangular factor.
+    ``[R | t]`` of ``[mat | rhs]`` (without ``Q``), then the SVD of ``R`` cut
+    at ``rcond`` times its largest singular value: ``K`` holds the right
+    singular vectors below the cut and ``dh`` solves ``R dh ~ -t`` on the
+    ones above it.
     """
     n = mat.shape[1]
     tcols = n if rhs.ndim == 1 else slice(n, None)  # the columns of t, one per column of rhs
     tri = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n]
     r, t = tri[:, :n], tri[:, tcols]
-    sigma = _sigma_max(r) if len(r) == n else None
-    kernel = None if sigma is None else _null_block(r, rcond * sigma, min(block, n))
-    if kernel is None:
-        u, s, vt = np.linalg.svd(r)
-        rank = int(np.sum(s > rcond * s[0]))
-        return -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T, vt[rank:].T
-    # factor [R | t; K^T | 0] and back-substitute
-    full = np.vstack([tri, np.column_stack([kernel.T, np.zeros(kernel.shape[1:] + t.shape[1:])])])
-    _panels(full, n)
-    return -_back_substitute(full, full[:n, tcols]), kernel
+    u, s, vt = np.linalg.svd(r)
+    rank = int(np.sum(s > rcond * s[0]))
+    return -vt[:rank].T @ ((u[:, :rank].T @ t).T / s[:rank]).T, vt[rank:].T
 
 
 def _h_only_step(
@@ -944,7 +882,6 @@ def _h_only_step(
     rhs: np.ndarray,
     lift: tuple[np.ndarray, np.ndarray],
     rcond: float,
-    block: int = 8,
     pin: np.ndarray | None = None,
     keep: bool = False,
 ):
@@ -957,24 +894,25 @@ def _h_only_step(
     ``pin`` is given and passes ``_pinned_step``'s rank check: rows that are
     one-to-one on ``ker mat``, as many as its dimension, border ``[mat |
     rhs]``, scaled to ``sigma_max`` from a power iteration on ``mat``.
-    Otherwise ``_unpinned_step`` finds them.  ``dg`` follows from ``lift``
-    (``_lift``).  The full system's least-squares steps are this one plus
-    the lift ``[K; -G⁺ A_top K]`` of ``ker mat``, so projecting that out
-    gives the minimal-norm step, whatever part of ``dh`` lies along ``K``: a
-    pin chooses no disc.  With ``keep`` it returns ``(step, factor)``,
-    ``factor`` the ``_PinnedFactor`` of a pinned step and ``None`` for an
-    unpinned one.  It runs on one BLAS thread up to ``SERIAL_LSTSQ_COLS``
-    unknowns.
+    Without a pin, or where it fails that check, the SVD of ``mat``'s
+    triangular factor finds them (``_unpinned_step``).  ``dg`` follows
+    from ``lift`` (``_lift``).  The full system's least-squares steps are
+    this one plus the lift ``[K; -G⁺ A_top K]`` of ``ker mat``, so
+    projecting that out gives the minimal-norm step, whatever part of
+    ``dh`` lies along ``K``: a pin chooses no disc.  With ``keep`` it
+    returns ``(step, factor)``, ``factor`` the ``_PinnedFactor`` of a
+    pinned step and ``None`` for an unpinned one.  It runs on one BLAS
+    thread up to ``SERIAL_LSTSQ_COLS`` unknowns.
     """
     n = mat.shape[1]
     with _blas_threads(n):
         sigma = _sigma_max(mat) if pin is not None and len(mat) >= n else None
-        pinned = None if sigma is None else _pinned_step(mat, rhs, pin, sigma, rcond * sigma, min(block, n))
+        pinned = None if sigma is None else _pinned_step(mat, rhs, pin, sigma, rcond * sigma)
         if pinned is not None:
             dh, kernel, tri, scaled = pinned
             dh = dh.reshape((n,) + rhs.shape[1:])
         else:
-            dh, kernel = _unpinned_step(mat, rhs, rcond, block)
+            dh, kernel = _unpinned_step(mat, rhs, rcond)
         basis = np.linalg.qr(np.vstack([kernel, -lift[0] @ kernel]))[0] if kernel.size else None
         step = _minimal_norm(_lift(dh, lift), basis)
     if not keep:
@@ -1116,8 +1054,8 @@ def solve_newton(
     freedom (the update never moves along the residual kernel).  A step
     linearizes and takes ``_h_only_step``'s step.  For a ``u``-free ``r``
     that kernel is found through the jets of ``h`` at 1 (``_jet_pin``), one
-    factorization per step, and through the rank-revealing block only where
-    the pin fails its rank check.  The accepted pinned factor is kept for
+    factorization per step, and through the SVD only where the pin fails
+    its rank check.  The accepted pinned factor is kept for
     one more step: where the next reduced residual lies below
     ``CLOSE_LEVEL``, a closing step from it (``_closing_step``: no Jacobian,
     no factorization) is tried first, and kept if it lands below
@@ -1198,7 +1136,7 @@ def solve_newton(
             # the solve: none then lives on through the next assembly but in the
             # pinned factor, which goes before it
             del op
-            delta, factor = _h_only_step(jac, rhs, lift, opts.svd_threshold, 2 * model.k0 - model.d + 6, pin, keep=True)
+            delta, factor = _h_only_step(jac, rhs, lift, opts.svd_threshold, pin, keep=True)
             del jac, lift
             phi0 = float(f @ f)
             alpha = 1.0

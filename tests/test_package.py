@@ -58,16 +58,23 @@ def _uses(node: ast.AST) -> Counter:
 
 
 def test_every_exported_name_has_a_caller():
-    # a string (an __all__ entry, a benchmark's trace key) is not a use, and
-    # neither is a name inside its own definition (a recursive call); a method
-    # is looked up by its name alone, whatever its class
+    # so has every module-level private function and class of src/, so that
+    # a deleted caller leaves no helper behind.  A string (an __all__ entry, a
+    # benchmark's trace key) is not a use, and neither is a name inside its
+    # own definition (a recursive call) nor a test; a method is looked up by
+    # its name alone, whatever its class
     src = sorted((ROOT / "src" / "discforge").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in src + sorted((ROOT / "bench").glob("*.py"))}
     total = sum((_uses(tree) for tree in trees.values()), Counter())
     uncalled = []
     for path in src:
         module = importlib.import_module("discforge" if path.stem == "__init__" else f"discforge.{path.stem}")
-        for name in getattr(module, "__all__", ()):
+        private = [
+            node.name
+            for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        ]
+        for name in [*getattr(module, "__all__", ()), *private]:
             own = sum(
                 (
                     _uses(node)

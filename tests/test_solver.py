@@ -733,9 +733,9 @@ def test_newton_steps_up_to_the_cap_run_on_one_blas_thread(monkeypatch, cols, se
 
         return call
 
-    # a step factors [B | b] (triangular factor only), then [R; mu I], [R; K^T]
-    # and the lifted kernel of B, inverts a triangle, solves small ones (the SVD
-    # only where the null block cannot certify itself)
+    # a step factors the bordered [B | b | 0; C | 0 | I] (triangular factor
+    # only), solves its diagonal blocks and factors the kernel and its lift
+    # (the SVD only where the pin fails its check)
     for name in ("lstsq", "qr", "svd", "inv", "solve", "eigh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     monkeypatch.setattr(solver, "SERIAL_LSTSQ_COLS", cols)
@@ -1067,6 +1067,13 @@ def test_h_only_step_is_the_full_minimal_norm_step(d, split):
         assert np.max(np.abs(kernel @ step)) <= 1e-10 * np.linalg.norm(step)
 
 
+def _counting_svd(monkeypatch):
+    """Count the calls of ``np.linalg.svd`` from here on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(None) or svd(*a, **k))
+    return calls
+
+
 def _svd_step(mat, rhs, lift, rcond, transposed=False):
     """``(step, rank)`` of the h-only step taken through an SVD of the triangular factor: the oracle.
 
@@ -1091,21 +1098,29 @@ def _svd_step(mat, rhs, lift, rcond, transposed=False):
     return step, rank
 
 
-def _assert_matches_the_svd_step(mat, rhs, lift, block=8):
+def _assert_matches_the_svd_step(mat, rhs, lift, pin=None, pinned=None):
     """Check ``_h_only_step`` against the SVD oracle; return the oracle's own spread, relative.
 
-    The step must find the oracle's rank, rerun to the bit, and lie within
-    1e-12 of the oracle's step, relative, or within four times the spread of
-    the oracle itself (an SVD of ``R`` against one of ``R^T``) where that is
-    larger: no step is determined more closely than that.
+    Where ``pinned`` (by default: where a ``pin`` is given) the step must
+    take the pinned factor, whose null directions are as many as the
+    oracle's, and make no SVD call; else it takes one SVD.  It must rerun
+    to the bit, and lie within 1e-12 of the oracle's step, relative, or
+    within four times the spread of the oracle itself (an SVD of ``R``
+    against one of ``R^T``) where that is larger: no step is determined
+    more closely than that.
     """
     n = mat.shape[1]
-    r = np.linalg.qr(np.column_stack([mat, rhs]), mode="r")[:n, :n]
-    kernel = solver._null_block(r, 1e-8 * solver._sigma_max(r), block)
     ref, rank = _svd_step(mat, rhs, lift, 1e-8)
-    assert kernel is not None and n - kernel.shape[1] == rank
-    step = _h_only_step(mat, rhs, lift, 1e-8, block)
-    assert np.array_equal(step, _h_only_step(mat, rhs, lift, 1e-8, block))  # no unseeded draw
+    with pytest.MonkeyPatch.context() as patch:
+        svds = _counting_svd(patch)
+        step, factor = _h_only_step(mat, rhs, lift, 1e-8, pin, keep=True)
+    if pinned is None:
+        pinned = pin is not None
+    if pinned:
+        assert factor is not None and factor.basis.shape[1] == n - rank and not svds
+    else:
+        assert factor is None and len(svds) == 1
+    assert np.array_equal(step, _h_only_step(mat, rhs, lift, 1e-8, pin))  # no unseeded draw
     spread = np.linalg.norm(_svd_step(mat, rhs, lift, 1e-8, transposed=True)[0] - ref) / np.linalg.norm(ref)
     assert np.linalg.norm(step - ref) <= max(1e-12, 4 * spread) * np.linalg.norm(ref)
     return spread
@@ -1115,33 +1130,42 @@ def _assert_matches_the_svd_step(mat, rhs, lift, block=8):
 @pytest.mark.parametrize("bmag", [0.1, 0.45])
 @pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
 def test_h_only_step_matches_the_svd_step_on_every_newton_grid_shape(d, split, bmag, n):
-    # the first step of each newton_grid shape, for the residual and for a
-    # random right-hand side.  Where the smallest kept sigma is only some
-    # 10^2 above the cut (split roots at |b| = 0.45), an SVD of R and one of
-    # R^T already give steps up to ~1e-8 apart
+    # the first step of each newton_grid shape, pinned as Newton pins it
+    # (k0 - d/2 + 1 = split + 1 orders).  Where the smallest kept sigma is
+    # only some 10^2 above the cut (split roots at |b| = 0.45), an SVD of R
+    # and one of R^T already give steps up to ~1e-8 apart.  The pin holds
+    # but at d6-k4, |b| = 0.45, N = 128, whose bordered factor's smallest
+    # sigma is 5.4 times the cut, short of 2 PIN_MARGIN: that step takes the
+    # SVD.  A random right-hand side, which the Jacobian does not reach, is a
+    # large-residual problem no caller poses: unpinned, it takes the SVD
+    # (pinned, its step lies up to 24 times the oracle's spread off on split
+    # roots at |b| = 0.45, N = 64, where the bordered factor's smallest
+    # sigma is 12 times below mat's smallest kept one)
     op, rhs = _first_step(d, split, n, bmag)
-    for f in (rhs, np.random.default_rng(d).standard_normal(rhs.size)):
-        mat, vec, lift = _eliminate_g(op.matrix, f, op.n_in, op.n_out)
-        assert _assert_matches_the_svd_step(mat, vec, lift) <= 1e-7
+    mat, vec, lift = _eliminate_g(op.matrix, rhs, op.n_in, op.n_out)
+    pinned = not (d == 6 and split and bmag == 0.45 and n == 128)
+    assert _assert_matches_the_svd_step(mat, vec, lift, solver._jet_pin(n, split + 1), pinned) <= 1e-7
+    mat, vec, lift = _eliminate_g(op.matrix, np.random.default_rng(d).standard_normal(rhs.size), op.n_in, op.n_out)
+    assert _assert_matches_the_svd_step(mat, vec, lift) <= 1e-7
 
 
 def test_h_only_step_keeps_null_directions_of_very_different_sigma():
     # at b = 0 the cubic perturbation's first h-only factor has two null
-    # directions whose sigmas lie many orders apart: inverse iteration
-    # through R^-1 R^-T without the shift loses the larger one under the
-    # smaller, or overflows
+    # directions whose sigmas lie many orders apart; Newton's jet pin of
+    # |z|^4 (one order, two rows) takes both
     op, rhs = _first_jacobian(_cubic_pert(1e-3), 0.0, 64)
     mat, vec, lift = _eliminate_g(op.matrix, rhs, op.n_in, op.n_out)
-    assert _assert_matches_the_svd_step(mat, vec, lift) <= 2.5e-13  # so held to 1e-12
+    assert _assert_matches_the_svd_step(mat, vec, lift, solver._jet_pin(64, 1)) <= 2.5e-13  # so held to 1e-12
 
 
 def test_h_only_step_sweeps_until_the_kept_directions_are_gone():
     # d6-k4 at b = 0.45, N = 64: the smallest kept sigma is only ~190 times
-    # the cut, so one sweep of the shifted iteration leaves the kernel off by
-    # ~1e-3; the oracle's own spread is 1.3e-8 here
+    # the cut, and the oracle's own spread is 1.3e-8 here; the pinned
+    # factor's one sweep still certifies the rank, and its step lies within
+    # that spread
     op, rhs = _first_step(6, True, 64, 0.45)
     mat, vec, lift = _eliminate_g(op.matrix, rhs, op.n_in, op.n_out)
-    assert _assert_matches_the_svd_step(mat, vec, lift) <= 1e-7
+    assert _assert_matches_the_svd_step(mat, vec, lift, solver._jet_pin(64, 2)) <= 1e-7
 
 
 def _triangular_problem(n, null_sigmas, smallest_kept, seed=3):
@@ -1192,18 +1216,19 @@ def test_h_only_step_on_a_null_sigma_six_times_below_the_cut():
 @pytest.mark.parametrize(
     "null_sigmas, over_cut",
     [
-        (np.geomspace(1e-25, 1e-12, 9), None),  # a null space larger than the 8-column block
+        (np.geomspace(1e-25, 1e-12, 9), None),  # nine null directions
         ((1e-20, 1e-9), 1.5),  # a kept sigma within a factor 2 of the cut
         ((1e-20, 1e-9), 1 / 1.5),  # a null one within a factor 2
     ],
 )
 def test_h_only_step_takes_the_svd_where_the_block_cannot_certify(monkeypatch, null_sigmas, over_cut):
+    # an unpinned step is the oracle's, to the bit, from one SVD, however
+    # close to the cut its sigmas lie
     mat, rhs, lift = _triangular_problem(96, null_sigmas, 1e-4)
     if over_cut is not None:
         sigma = _singular_values(mat, rhs)
         mat[mat == 1e-9] *= 1e-8 * sigma[0] * over_cut / sigma[-2]
-    calls, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(None) or svd(*a, **k))
+    calls = _counting_svd(monkeypatch)
     step = _h_only_step(mat, rhs, lift, 1e-8)
     assert len(calls) == 1
     assert np.array_equal(step, _svd_step(mat, rhs, lift, 1e-8)[0])
@@ -1249,43 +1274,35 @@ def _newton_steps(d, split, b, n=64, count=2):
 
 @pytest.mark.parametrize("bmag", [0.1, 0.45])
 @pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
-def test_pinned_newton_step_is_the_unpinned_one_without_the_null_block(monkeypatch, d, split, bmag):
+def test_pinned_newton_step_is_the_unpinned_one_without_the_null_block(d, split, bmag):
     # Newton's u-free steps pass the jet pin and take the bordered factor,
-    # never the rank-revealing block, and the step is the minimal-norm one.
-    # On |b| = 0.1 the two agree to 1e-12 of the step; at |b| = 0.45 the step
-    # itself is determined only to the SVD oracle's spread (up to ~5e-8 on
-    # split roots), and the two agree within four times that
-    for mat, rhs, lift, rcond, block, pin in _newton_steps(d, split, bmag):
-        assert pin is not None and len(pin) == 2 * (split + 1)
-        unpinned = _h_only_step(mat, rhs, lift, rcond, block)
-        blocks = _counting(monkeypatch, "_null_block")
-        pinned = _h_only_step(mat, rhs, lift, rcond, block, pin)
-        assert not blocks
-        monkeypatch.undo()
-        ref = _svd_step(mat, rhs, lift, rcond)[0]
-        spread = np.linalg.norm(_svd_step(mat, rhs, lift, rcond, transposed=True)[0] - ref) / np.linalg.norm(ref)
-        bound = 1e-12 if bmag == 0.1 else max(1e-12, 4 * spread)
-        assert np.linalg.norm(pinned - unpinned) <= bound * np.linalg.norm(unpinned)
+    # with no SVD, and the step is the minimal-norm one: the unpinned step's,
+    # which is the SVD oracle's, within 1e-12 or four times the oracle's own
+    # spread (1.5e-12 against a spread of 1.65e-12 at d6-k4, |b| = 0.1; up
+    # to ~5e-8 on split roots at |b| = 0.45)
+    for mat, rhs, lift, rcond, pin in _newton_steps(d, split, bmag):
+        assert pin is not None and len(pin) == 2 * (split + 1) and rcond == 1e-8
+        _assert_matches_the_svd_step(mat, rhs, lift, pin)
 
 
-def test_a_pin_that_does_not_fit_the_null_space_falls_back_to_the_block(monkeypatch):
+def test_a_pin_that_does_not_fit_the_null_space_falls_back_to_the_svd(monkeypatch):
     # d4-k3 at |b| = 0.1 has four null directions: a pin one row short leaves
     # the bordered factor singular, one row long pins a kept direction, and a
     # fifth null direction makes the four rows too few.  Each takes the
-    # unpinned path, to the bit
-    (mat, rhs, lift, rcond, block, pin), = _newton_steps(4, True, 0.1, count=1)
+    # unpinned path, one SVD, to the bit
+    (mat, rhs, lift, rcond, pin), = _newton_steps(4, True, 0.1, count=1)
     v = mat.T @ np.ones(len(mat))  # in the row space, so off the null space: mat - (mat v) v^T adds v to it
     v /= np.linalg.norm(v)
     longer = np.vstack([pin, solver._jet_pin(mat.shape[1] // 2 - 1, len(pin) // 2 + 1)[-2]])
     for a, p in ((mat, pin[:-1]), (mat, longer), (mat - np.outer(mat @ v, v), pin)):
-        blocks = _counting(monkeypatch, "_null_block")
-        step = _h_only_step(a, rhs, lift, rcond, block, p)
-        assert np.array_equal(step, _h_only_step(a, rhs, lift, rcond, block))
-        assert len(blocks) == 2
+        svds = _counting_svd(monkeypatch)
+        step = _h_only_step(a, rhs, lift, rcond, p)
+        assert len(svds) == 1
         monkeypatch.undo()
+        assert np.array_equal(step, _h_only_step(a, rhs, lift, rcond))
 
 
-def _two_stage_pinned_step(mat, rhs, lift, rcond, block, pin):
+def _two_stage_pinned_step(mat, rhs, lift, pin):
     """The pinned step through two factorizations, the reference for the one-QR step.
 
     First ``[R | t]`` of ``[mat | rhs]``; then the pin's rows, scaled to
@@ -1315,15 +1332,14 @@ def _two_stage_pinned_step(mat, rhs, lift, rcond, block, pin):
 @pytest.mark.parametrize("d, split", [(4, False), (4, True), (6, False), (6, True)])
 def test_one_qr_pinned_step_is_the_two_stage_one(monkeypatch, d, split, bmag):
     # Newton's first step of each newton_grid shape factors [mat | rhs | 0; C | 0 | I]
-    # once: no panel pass over a bordered triangle and no rank-revealing
-    # block, and the step is the two-stage computation's within the bounds
-    # the pinned and unpinned steps keep
-    (mat, rhs, lift, rcond, block, pin), = _newton_steps(d, split, bmag, count=1)
-    panels, blocks = _counting(monkeypatch, "_panels"), _counting(monkeypatch, "_null_block")
-    step = _h_only_step(mat, rhs, lift, rcond, block, pin)
-    assert not panels and not blocks
+    # once, with no SVD, and the step is the two-stage computation's within
+    # the bounds the pinned and unpinned steps keep
+    (mat, rhs, lift, rcond, pin), = _newton_steps(d, split, bmag, count=1)
+    svds = _counting_svd(monkeypatch)
+    step = _h_only_step(mat, rhs, lift, rcond, pin)
+    assert not svds
     monkeypatch.undo()
-    ref = _two_stage_pinned_step(mat, rhs, lift, rcond, block, pin)
+    ref = _two_stage_pinned_step(mat, rhs, lift, pin)
     oracle = _svd_step(mat, rhs, lift, rcond)[0]
     spread = np.linalg.norm(_svd_step(mat, rhs, lift, rcond, transposed=True)[0] - oracle) / np.linalg.norm(oracle)
     bound = 1e-12 if bmag == 0.1 else max(1e-12, 4 * spread)
@@ -1336,8 +1352,8 @@ def test_a_closing_step_on_its_own_right_hand_side_is_the_pinned_step(d, split, 
     # the semi-normal equations with one refinement sweep give the factored
     # step back from the stored factor alone (measured <= 7.7e-12; without
     # the sweep d6-k3 at |b| = 0.45 is 3.5e-9 off)
-    (mat, rhs, lift, rcond, block, pin), = _newton_steps(d, split, bmag, count=1)
-    step, factor = _h_only_step(mat, rhs, lift, rcond, block, pin, keep=True)
+    (mat, rhs, lift, rcond, pin), = _newton_steps(d, split, bmag, count=1)
+    step, factor = _h_only_step(mat, rhs, lift, rcond, pin, keep=True)
     closing = solver._closing_step(factor, rhs, lift[1])
     assert np.linalg.norm(closing - step) <= 1e-10 * np.linalg.norm(step)
 
@@ -1351,7 +1367,7 @@ def test_a_zero_matrix_has_no_largest_singular_value_and_steps_quietly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert solver._sigma_max(mat) is None
-        steps = [_h_only_step(mat, rhs, lift, 1e-8, 8, pin) for pin in (None, solver._jet_pin(4, 1))]
+        steps = [_h_only_step(mat, rhs, lift, 1e-8, pin) for pin in (None, solver._jet_pin(4, 1))]
     assert np.array_equal(steps[0], steps[1]) and np.all(np.isfinite(steps[0]))
 
 
@@ -1492,20 +1508,21 @@ def _no_lift(cols):
 @pytest.mark.parametrize(
     "model, terms, theta1, b",
     [
-        # two null directions, through the null block
+        # two null directions
         (_model_d4k3(), (PerturbationTerm(2, 1, 1, {(0, 0): 1e-3}),), {}, 0.1j),
-        # one null direction, through the null block
+        # one null direction
         (_abs_power(4), (), {2: 3e-3}, 0.0),
-        # a kept sigma 1.3 times the cut, which the block cannot certify: the SVD
+        # a kept sigma 1.3 times the cut
         (_abs_power(4), (PerturbationTerm(2, 1, 1, {(0, 0): 1e-3}),), {}, 0.0),
     ],
 )
 def test_coupled_step_is_the_lstsq_step(model, terms, theta1, b):
-    # a u-dependent r steps on the whole [h | g] Jacobian, with the same cut
-    # lstsq takes at rcond = 1e-8: the same minimal-norm step
+    # a u-dependent r steps on the whole [h | g] Jacobian, unpinned, through
+    # the SVD with the same cut lstsq takes at rcond = 1e-8: the same
+    # minimal-norm step
     op, rhs = _first_jacobian(DefiningFunction(model, terms, theta1), b, 48)
     ref, *_ = np.linalg.lstsq(op.matrix, -rhs, rcond=1e-8)
-    step = _h_only_step(op.matrix, rhs, _no_lift(op.matrix.shape[1]), 1e-8, 2 * model.k0 - model.d + 6)
+    step = _h_only_step(op.matrix, rhs, _no_lift(op.matrix.shape[1]), 1e-8)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -1520,28 +1537,71 @@ def test_step_on_a_wide_matrix_is_the_lstsq_step():
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("case", ["null block", "svd"])
-def test_step_on_four_columns_is_four_one_column_steps(case):
+@pytest.mark.parametrize("case", ["pinned", "svd"])
+def test_step_on_four_columns_is_four_one_column_steps(monkeypatch, case):
     # a right-hand side of several columns (the kernel basis' weight
-    # corrections) gives each column's own step, through the null block on a
-    # newton_grid first step, and through the SVD on a null space larger
-    # than the block
+    # corrections) gives each column's own step: pinned by the jets of h on
+    # a newton_grid first step, the kernel basis' path, and through the SVD
+    # on a triangular problem with nine null directions
     rng = np.random.default_rng(7)
-    if case == "null block":
+    if case == "pinned":
         op, rhs = _first_step(6, True)
         f = np.column_stack([rhs, rng.standard_normal((rhs.size, 3))])
         mat, vec, lift = _eliminate_g(op.matrix, f, op.n_in, op.n_out)
         columns = [_eliminate_g(op.matrix, f[:, i], op.n_in, op.n_out) for i in range(4)]
+        pin = solver._jet_pin(op.n_in, 2)
     else:
         mat, _, (gp_a, _) = _triangular_problem(96, np.geomspace(1e-25, 1e-12, 9), 1e-4)
         vec, gp_f = rng.standard_normal((96, 4)), rng.standard_normal((97, 4))
         lift = (gp_a, gp_f)
         columns = [(mat, vec[:, i], (gp_a, gp_f[:, i])) for i in range(4)]
-    steps = _h_only_step(mat, vec, lift, 1e-8)
+        pin = None
+    svds = _counting_svd(monkeypatch)
+    steps = _h_only_step(mat, vec, lift, 1e-8, pin)
     assert steps.shape == (mat.shape[1] + len(lift[0]), 4)
     for i, args in enumerate(columns):
-        one = _h_only_step(*args, 1e-8)
+        one = _h_only_step(*args, 1e-8, pin)
         assert np.linalg.norm(steps[:, i] - one) <= 1e-12 * np.linalg.norm(one)
+    assert len(svds) == (0 if case == "pinned" else 5)
+
+
+def _kernel_model(name, monkeypatch):
+    """A kernel test model: one of the acceptance criteria's, or cli_cold seed 1's ``kernel-0``."""
+    if name == "cli-kernel-0":
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        return ModelPolynomial.from_dict(workloads.cli_configs(1)["kernel-0"]["model"])
+    return {"d2-k1": _abs_power(2), "d4-k2": _abs_power(4), "d4-k3": _model_d4k3()}[name]
+
+
+@pytest.mark.parametrize("name", ["d2-k1", "d4-k2", "d4-k3", "cli-kernel-0"])
+def test_kernel_basis_takes_the_pinned_step(monkeypatch, name):
+    # the weight corrections are one step pinned by the jets of h at 1, as
+    # Newton's u-free steps are: no SVD, and each unit coordinate vector
+    # within 1e-12 or four times the oracle's own spread of the SVD oracle's
+    # (measured at most 1.5e-13); the homogeneous directions, which take no
+    # step, are those of the unpinned basis to the bit
+    model = _kernel_model(name, monkeypatch)
+    qfac = factor_Q(model)
+    svds = _counting_svd(monkeypatch)
+    basis = kernel_basis_p0(model, qfac)
+    assert not svds
+    monkeypatch.undo()
+    step = solver._h_only_step
+    monkeypatch.setattr(solver, "_h_only_step", lambda mat, rhs, lift, rcond, pin: step(mat, rhs, lift, rcond))
+    unpinned = kernel_basis_p0(model, qfac)
+    n_w = 2 * model.k0 + 1
+    assert np.array_equal(basis.coords[n_w:], unpinned.coords[n_w:])
+
+    disc = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=max(8, 2 * model.d))
+    op = _linearize(_pure(model), qfac, disc.c, _Point.of_disc(disc), 64, None, model.k0)
+    for j in range(n_w):
+        mat, vec, lift = _eliminate_g(op.matrix[:, op.hg_cols], op.matrix[:, op.weight_cols][:, j], 64, op.n_out)
+        ref, other = (np.concatenate([np.eye(n_w)[j], _svd_step(mat, vec, lift, 1e-8, t)[0]]) for t in (False, True))
+        ref, other = ref / np.linalg.norm(ref), other / np.linalg.norm(other)
+        spread = np.linalg.norm(other - ref)
+        assert np.linalg.norm(basis.coords[j] - ref) <= max(1e-12, 4 * spread)
 
 
 def test_newton_converges_where_the_coupled_rank_cut_failed():
@@ -1563,11 +1623,13 @@ def test_newton_converges_where_the_coupled_rank_cut_failed():
 
 
 def test_a_computed_disc_failing_the_pin_check_is_numerical(monkeypatch):
-    # the disc is the solver's output, not the user's input: exit 1, not 2
+    # the disc is the solver's output, not the user's input: exit 1, not 2.
+    # A negative tolerance fails the check by construction, whatever the
+    # solved disc's rounding; it is set after the initial disc is built
     model = _abs_power(4)
     init = model_disc(model, ModelDiscParams(0.0, 1.0), n_max=64)
-    monkeypatch.setattr("discforge.discs.PIN_TOL", 0.0)
-    with pytest.raises(NumericalError, match="pin check"):
+    monkeypatch.setattr("discforge.discs.PIN_TOL", -1.0)
+    with pytest.raises(NumericalError, match="computed disc fails its pin check"):
         solve_newton(_cubic_pert(1e-3), factor_Q(model), 0.0, init, SolverOptions(n_max=64))
 
 
