@@ -3,13 +3,16 @@
 A series holds coefficients ``c[n]`` for ``n`` in ``[-N, N]`` and represents
 ``sum_n c[n] zeta^n`` for ``|zeta| = 1``.  Everything downstream (hypersurface
 symbols, disc components, boundary operators) is carried by this type, so the
-algebra here is kept exact: products are exact convolutions of the nonzero
-carriers of their factors (the exact zeros of one-sided series are skipped),
-projections act on coefficients, and no operation silently drops modes.
+algebra here is kept to rounding: products convolve the numerical carriers of
+their factors (``TrigSeries.window``: the coefficients above ``CARRIER_GATE**2``
+of the largest, so the exact zeros of one-sided series and the tails that only
+underflow are skipped), projections act on coefficients, and no operation
+drops a mode that the product's own rounding does not already bury.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +31,8 @@ MAX_ORDER = 1 << 16
 
 # A coefficient at most this fraction of the largest one in its series is
 # rounding noise: the numerical carrier of a series ends at its last mode above
-# the gate.  The solver's Jacobian rows and the composed disc both stop there.
+# the gate.  The solver's Jacobian rows and the composed disc both stop there;
+# products convolve down to its square (``TrigSeries.window``).
 CARRIER_GATE = np.finfo(float).eps
 
 
@@ -71,13 +75,24 @@ class TrigSeries:
 
     @property
     def window(self) -> tuple[int, int] | None:
-        """Index range ``[lo, hi)`` of ``coeffs`` from the first to the last nonzero coefficient.
+        """Index range ``[lo, hi)`` of ``coeffs`` that products convolve: the numerical carrier.
 
-        Computed on first use and kept; ``None`` for the zero series.
+        It runs from the first to the last coefficient whose modulus exceeds
+        ``CARRIER_GATE**2`` times the largest.  A term of a product left out
+        with it is below ``CARRIER_GATE`` times the product's rounding bound
+        ``8 eps conv(|a|, |b|)`` at its largest mode, so the modes the product
+        carries keep that bound; the geometric tails of Blaschke-type discs
+        end there instead of running on into subnormals, whose arithmetic is
+        several times slower.  A series with a non-finite coefficient keeps
+        the range from the first to the last nonzero one, so an overflow
+        reaches its product (and the non-finite gates) whole.  Computed on
+        first use and kept; ``None`` for the zero series.
         """
         cache = self.__dict__
         if "_window" not in cache:
-            idx = self.coeffs.nonzero()[0]
+            mod = np.abs(self.coeffs)
+            top = np.maximum.reduce(mod)
+            idx = (mod > CARRIER_GATE**2 * top if math.isfinite(top) else self.coeffs).nonzero()[0]
             cache["_window"] = (int(idx[0]), int(idx[-1]) + 1) if idx.size else None
         return cache["_window"]
 
@@ -303,15 +318,18 @@ class Powers:
 
 
 def multiply(a: TrigSeries, b: TrigSeries) -> TrigSeries:
-    """Exact product on the nonzero carriers; the result carries order ``Na + Nb``.
+    """Product on the numerical carriers; the result carries order ``Na + Nb``.
 
-    Only the windows between the first and last nonzero coefficient of each
-    factor (``TrigSeries.window``) are convolved, so the exact zeros of
-    one-sided series (``h``, its powers, ``conj h``) cost nothing; every mode
-    outside the sum of the two windows is exactly zero.  The product's own
-    window is found from its coefficients, not taken as that sum: an end
-    coefficient can underflow to an exact 0, and a longer window would change
-    the length, and so the rounding, of the next product's dot products.
+    Only the windows of the factors (``TrigSeries.window``: the coefficients
+    above ``CARRIER_GATE**2`` of each factor's largest, or every nonzero one
+    where a coefficient is not finite) are convolved, so the exact zeros of
+    one-sided series (``h``, its powers, ``conj h``) and the geometric tails
+    below the gate cost nothing; every mode outside the sum of the two
+    windows is exactly zero.  The gate is squared so that a term left out
+    lies below ``CARRIER_GATE`` times the product's rounding bound ``8 eps
+    conv(|a|, |b|)`` at its largest mode.  The product's own window is found
+    from its coefficients, not taken as that sum, so the next product
+    convolves the product's own carrier.
     """
     out = np.zeros(a.coeffs.size + b.coeffs.size - 1, dtype=complex)
     wa, wb = a.window, b.window

@@ -94,6 +94,40 @@ def test_every_exported_name_has_a_caller():
     assert sorted(uncalled) == sorted(UNCALLED_EXPORTS), f"used nowhere in src/ or bench/: {uncalled}"
 
 
+# The only functions of src/ that may convolve: series products go through
+# ``multiply``, which convolves the factors' numerical carriers
+# (``TrigSeries.window``); the solver's product table and its traces convolve
+# raw coefficient windows of their own.
+CONVOLVERS = {"series.multiply", "solver._Point._build", "solver._trace"}
+
+
+def _convolving_scopes(tree: ast.Module, module: str) -> set[str]:
+    """Qualified names of the functions and classes under ``tree`` that call ``convolve`` (``np.convolve`` or bare)."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "convolve":
+                    found.add(scope)
+            visit(child, inner)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_the_product_sites_convolve():
+    # a new product path would bypass the carrier window unnoticed
+    found = set()
+    for path in sorted((ROOT / "src" / "discforge").glob("*.py")):
+        found |= _convolving_scopes(ast.parse(path.read_text()), path.stem)
+    assert found == CONVOLVERS, f"np.convolve called outside {sorted(CONVOLVERS)}: {sorted(found - CONVOLVERS)}"
+
+
 # The only calls that may turn a config value into a number: each kind of value
 # has one reader in discforge.exceptions.
 NUMBER_READERS = {"integer", "real", "pair"}

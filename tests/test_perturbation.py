@@ -285,8 +285,9 @@ def _kept_and_dropped(kept, exact):
 
 
 def test_compose_disc_keeps_the_numerical_carrier():
-    # the exact composition of this order-65 disc reaches orders 576 and 195,
-    # every mode past 65 below rounding of the largest
+    # the exact composition of this order-65 disc reaches orders 103 and 99
+    # (its products stop at their factors' carriers), every mode past 65 below
+    # rounding of the largest
     model = ModelPolynomial.from_upper(8, 4, {4: 1.0})
     init = model_disc(model, ModelDiscParams(0.2, 1.0), n_max=64)
     r = DefiningFunction.pure(model)
@@ -308,13 +309,15 @@ def test_compose_disc_keeps_the_numerical_carrier():
 
 def test_compose_disc_keeps_content_past_the_disc_order():
     # at |b| = 0.45 the modes of h^9 and g^3 past the order-64 disc decay
-    # slowly: they stay above rounding up to modes 129 and 108
+    # slowly: they stay above rounding up to modes 129 and 108.  The products
+    # of the exact composition stop at their factors' carriers (above
+    # CARRIER_GATE**2 of the largest), so its last nonzero modes are 213 and 181
     disc = model_disc(_abs4(), ModelDiscParams(0.45, 1.0), n_max=64)
     disc = LiftedDisc(disc.c, disc.h, disc.g.truncate(64), validate=False)
     h_new, g_new = compose_disc(_survey_map(4), disc)
     h_exact, g_exact = _exact_composition(_survey_map(4), disc)
     assert (h_new.n_max, g_new.n_max) == (129, 108)
-    assert (h_exact.n_max, g_exact.n_max) == (576, 192)
+    assert (h_exact.n_max, g_exact.n_max) == (213, 181)
     for new, exact in ((h_new, h_exact), (g_new, g_exact)):
         kept, dropped = _kept_and_dropped(new, exact)
         assert np.array_equal(kept, new.coeffs)

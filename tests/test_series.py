@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from discforge.discs import ModelDiscParams, model_disc
 from discforge.jets import jet_map
-from discforge.model import ModelPolynomial
+from discforge.model import ModelPolynomial, random_admissible_model
 from discforge.series import (
+    CARRIER_GATE,
     ONE_MINUS,
+    Powers,
     TrigSeries,
     analytic_from_real_part,
     coeff_distance,
@@ -118,10 +120,16 @@ def test_multiply_is_exact_on_the_nonzero_carriers(case):
     assert np.all(np.abs(prod.coeffs - full) <= bound)
 
 
+def _carrier(coeffs):
+    """Indices of the finite ``coeffs`` above ``CARRIER_GATE**2`` of the largest."""
+    mod = np.abs(coeffs)
+    return np.flatnonzero(mod > CARRIER_GATE**2 * mod.max())
+
+
 def _reference_product(a, b):
-    """``multiply`` written out: convolve the factors' flatnonzero windows, zeros elsewhere."""
+    """``multiply`` written out: convolve the factors' gated windows, zeros elsewhere."""
     out = np.zeros(a.coeffs.size + b.coeffs.size - 1, dtype=complex)
-    ia, ib = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
+    ia, ib = _carrier(a.coeffs), _carrier(b.coeffs)
     if ia.size and ib.size:
         out[ia[0] + ib[0] : ia[-1] + ib[-1] + 1] = np.convolve(
             a.coeffs[ia[0] : ia[-1] + 1], b.coeffs[ib[0] : ib[-1] + 1]
@@ -130,11 +138,11 @@ def _reference_product(a, b):
 
 
 def test_product_window_drops_ends_that_underflow():
-    # the end modes of a * a are 1e-170 * 1e-170, an exact 0: the product's
-    # window is found from its coefficients, narrower than the sum of the two
-    # factors' windows
+    # the end modes of a * a are 1e-170 * 1e-170, an exact 0, while 1e-170 is
+    # 1e-25 of a's largest mode, inside the gate: the product's window is found
+    # from its coefficients, narrower than the sum of the two factors' windows
     rng = np.random.default_rng(0)
-    mid = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    mid = 1e-145 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
     a = TrigSeries(np.concatenate([[1e-170], mid, [1e-170]]))
     assert a.window == (0, 11)
     prod = multiply(a, a)
@@ -146,6 +154,74 @@ def test_product_window_drops_ends_that_underflow():
     b = _random_series(rng, 8)
     for x, y in ((prod, b), (b, prod), (prod, prod)):
         assert np.array_equal(multiply(x, y).coeffs.view(np.uint64), _reference_product(x, y).view(np.uint64))
+
+
+def test_window_stops_at_the_square_of_the_gate():
+    # 0.1^31 lies above CARRIER_GATE**2 (4.9e-32) and 0.1^32 below it
+    geo = TrigSeries.geometric(0.1, 64)
+    assert geo.window == (64, 64 + 32)
+    assert geo.conjugate().window == (64 - 31, 65)
+    assert TrigSeries(np.full(5, 1e-300, dtype=complex)).window == (0, 5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf), np.nan])
+def test_a_non_finite_series_keeps_every_nonzero_mode(bad):
+    # an overflow must reach the non-finite gates: a gate scaled by an
+    # infinite largest mode would keep nothing, and the product would be 0
+    coeffs = np.array([0.0, 1e-300, 1.0, bad, 0.5, 1e-300, 0.0], dtype=complex)
+    x = TrigSeries(coeffs)
+    assert x.window == (1, 6)
+    b = _random_series(np.random.default_rng(4), 3)
+    for prod in (multiply(x, b), multiply(b, x), multiply(x, x)):
+        assert not np.all(np.isfinite(prod.coeffs))
+
+
+def _gated(series):
+    """Whether the window stops short of the first or last nonzero coefficient."""
+    idx = np.flatnonzero(series.coeffs)
+    return series.window != (idx[0], idx[-1] + 1)
+
+
+def _geometric_factor(rng, ratio, order):
+    # a geometric tail of random phase, times a short random head
+    head = _random_series(rng, 2)
+    return multiply(head, TrigSeries.geometric(ratio * np.exp(2j * np.pi * rng.uniform()), order)).truncate(order)
+
+
+@pytest.mark.parametrize("ratio_a, ratio_b", [(0.05, 0.5), (0.2, 0.2), (0.45, 0.1), (0.5, 0.5)])
+@pytest.mark.parametrize("order_a, order_b", [(64, 64), (128, 256), (256, 128)])
+def test_gated_products_stay_within_the_rounding_bound(ratio_a, ratio_b, order_a, order_b):
+    # the tails cross the gate (and, for the small ratios and their powers,
+    # underflow), one-sided and two-sided, and for powers.  Every mode the
+    # product carries (above CARRIER_GATE of its largest) keeps the rounding
+    # bound of the untrimmed convolution; a mode below that may lose the terms
+    # the windows leave out, which stay under CARRIER_GATE times the bound of
+    # the largest mode
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng([order_a, order_b, int(100 * ratio_a), int(100 * ratio_b)])
+    a, b = _geometric_factor(rng, ratio_a, order_a), _geometric_factor(rng, ratio_b, order_b)
+    powers = Powers(a)
+    assert any(_gated(f) for f in (a, b, powers[8]))
+    for x, y in ((a, b), (a, b.conjugate()), (powers[3], b), (powers[4], b.conjugate()), (powers[8], powers[2])):
+        full = np.convolve(x.coeffs, y.coeffs)
+        err = np.abs(multiply(x, y).coeffs - full)
+        bound = 8 * eps * np.convolve(np.abs(x.coeffs), np.abs(y.coeffs))
+        carried = np.abs(full) > CARRIER_GATE * np.max(np.abs(full))
+        assert np.all(err[carried] <= bound[carried])
+        assert np.all(err <= bound + CARRIER_GATE * bound.max())
+
+
+def test_a_blaschke_disc_carries_only_its_numerical_carrier():
+    # h = v (1 - zeta) / (1 - conj(b) zeta) decays like |b|^n: at |b| = 0.2 it
+    # crosses CARRIER_GATE**2 near mode 46 of 128, and its products stop there
+    # too (full windows would read 129 modes of h and about 500 of h^8 and g)
+    model = random_admissible_model(np.random.default_rng(0), 8, 6)
+    disc = model_disc(model, ModelDiscParams(0.2, 1.0), n_max=128)
+    lo, hi = disc.h.window
+    assert lo == disc.h.n_max and hi - lo <= 50
+    for series in (Powers(disc.h)[8], disc.g):
+        lo, hi = series.window
+        assert lo == series.n_max and hi - lo <= 80
 
 
 def test_internal_operations_return_read_only_coefficients():
