@@ -956,14 +956,13 @@ def _check_decay(point: _Point) -> None:
         raise NumericalError("series truncation too small: coefficients have not decayed")
 
 
-# A reduced residual in ``[inner_tol, tol)`` that STALL_STEPS accepted steps in
-# a row each leave above STALL_FACTOR of the previous one has hit the floor of
-# the truncation: Newton converges quadratically on a resolved disc, and at a
-# floor it only grinds through ever shorter line searches.  The rule never
-# fires above ``tol``, where a weight frozen at ``c(b)`` stalls for a reason
-# a larger N does not cure.
+# A reduced residual in ``[inner_tol, tol)`` is at the truncation's floor when
+# a step cannot halve it: a closing step misses ``inner_tol``, the line search
+# rejects the full step, or an accepted step leaves above STALL_FACTOR of it.
+# None of the 1,022 converged solves of newton_grid seeds 1-10 did so.  The
+# rule never fires above ``tol``, where a weight frozen at ``c(b)`` stalls for
+# a reason a larger N does not cure.
 STALL_FACTOR = 0.5
-STALL_STEPS = 2
 
 
 def _truncation_floor(point: _Point, level: float, inner_tol: float, n: int) -> NoReturn:
@@ -1075,12 +1074,10 @@ def solve_newton(
     or ``g`` has not decayed within the truncation is reported as such, also
     where the line search fails, and a final disc that fails ``LiftedDisc``'s
     checks is a ``NumericalError`` (``LiftedDisc.computed``).  A reduced
-    residual in ``[inner_tol, tol)`` is the truncation's floor when
-    ``STALL_STEPS`` accepted steps in a row each leave it above
-    ``STALL_FACTOR`` of the previous one, or when the line search fails from
-    it: the solve then stops with a ``NumericalError`` naming the level, N
-    and the coefficient tails (``_truncation_floor``).  Above ``tol`` both
-    keep their own messages.
+    residual in ``[inner_tol, tol)`` is the truncation's floor at the first
+    step that cannot halve it (``STALL_FACTOR``): the solve then stops with a
+    ``NumericalError`` naming the level, N and the coefficient tails
+    (``_truncation_floor``).  Above ``tol`` the line search keeps its message.
     """
     model = r.model
     if abs(b) >= 0.5:
@@ -1107,11 +1104,12 @@ def solve_newton(
     val = _operator_value(r, qfac, c, point)
     f = stack_value(val, n_out)
     history = [float(np.max(np.abs(f)))]
-    iterations = weak = 0
+    iterations = 0
     factor, rows = None, 0  # the last accepted pinned step's factor and its Jacobian's n_out
 
-    def in_band(level):
-        return inner_tol <= level < opts.tol
+    def floor_in_band():  # after a step that cannot halve the level (STALL_FACTOR)
+        if inner_tol <= history[-1] < opts.tol:
+            _truncation_floor(point, history[-1], inner_tol, n_in)
 
     def evaluate(x_try):
         point_try = _Point(*unpack_series(x_try, n_in))
@@ -1124,6 +1122,8 @@ def solve_newton(
             vec, f_top = _split_top(stack_value(val, rows), n_in, rows)
             x_try, point_try, val_try, f_try = evaluate(x + _closing_step(factor, vec, _g_pinv(f_top, n_in)))
             closed = float(np.max(np.abs(f_try))) < inner_tol
+            if not closed:
+                floor_in_band()
         factor = None  # no stored factor lives on through the next assembly
         if not closed:
             op = _linearize(r, qfac, c, point, n_in, None, n_weight=None, h_only=u_free)
@@ -1144,18 +1144,16 @@ def solve_newton(
                 x_try, point_try, val_try, f_try = evaluate(x + alpha * delta)
                 if float(f_try @ f_try) <= (1.0 - 1e-4 * alpha) * phi0:
                     break
+                floor_in_band()
                 alpha *= 0.5
                 if alpha < 1e-10:
-                    if in_band(history[-1]):
-                        _truncation_floor(point, history[-1], inner_tol, n_in)
                     _check_decay(point)  # an under-resolved iterate is the cause to report
                     raise NumericalError("line search failed to reduce the residual")
         x, point, val, f = x_try, point_try, val_try, f_try
         iterations += 1
         history.append(float(np.max(np.abs(f))))
-        weak = weak + 1 if in_band(history[-1]) and history[-1] > STALL_FACTOR * history[-2] else 0
-        if weak == STALL_STEPS:
-            _truncation_floor(point, history[-1], inner_tol, n_in)
+        if history[-1] > STALL_FACTOR * history[-2]:
+            floor_in_band()
 
     _check_decay(point)
     disc = LiftedDisc.computed(c, point.h, point.g, "computed disc")

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -606,10 +607,14 @@ def test_module_entry_point(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": Z4_MODEL}))
     out = tmp_path / "out"
+    # the child finds the package in this checkout's src/, as this process does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "discforge.cli", "analyze", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "analyze.json").exists()
@@ -617,6 +622,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "discforge.cli", "nosuch", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
 

@@ -965,37 +965,70 @@ _FLOOR = r"stalls at (\S+) above inner_tol 1\.0e-11 at N = 64 .*; a larger N res
 
 def test_newton_stops_at_the_truncation_floor(monkeypatch):
     # newton_grid seed 1 d6-k4-b0.45-p4 at N=64 reaches a reduced residual just
-    # above inner_tol in three steps and then cannot halve it: two weak steps
-    # end the solve (the previous code ground on through 19 Jacobians and 323
-    # operator evaluations before its line search gave up)
+    # above inner_tol in three steps; the closing step from there misses
+    # inner_tol, which ends the solve after three Jacobians, one closing step
+    # and five operator evaluations, with no line search halving alpha
     b, eps = 0.2700651796624754 - 0.35995110603229835j, 0.0009701697009155201 - 0.0002424267960137459j
     linearized = _counting(monkeypatch, "_linearize")
+    closings = _counting(monkeypatch, "_closing_step")
+    evaluated = _counting(monkeypatch, "_operator_value")
     with pytest.raises(NumericalError, match=_FLOOR) as info:
         _grid_solve(6, True, b, eps, 64)
     level = float(re.search(_FLOOR, str(info.value)).group(1))
     assert 1e-11 <= level < 1e-9
-    assert len(linearized) <= 6
+    assert (len(linearized), len(closings), len(evaluated)) == (3, 1, 5)
+
+
+def _floor_without_closing_steps(monkeypatch, split, b, eps):
+    """A newton_grid d=6 solve at N=64 that meets its floor with ``CLOSE_LEVEL = 0``: only a full step can.
+
+    Returns its Jacobian count, the points the operator was evaluated at,
+    and the points ``_truncation_floor`` was called with.
+    """
+    monkeypatch.setattr(solver, "CLOSE_LEVEL", 0.0)
+    linearized = _counting(monkeypatch, "_linearize")
+    points, floors = [], []
+    operator_value, truncation_floor = solver._operator_value, solver._truncation_floor
+    monkeypatch.setattr(solver, "_operator_value", lambda *args: points.append(args[-1]) or operator_value(*args))
+    monkeypatch.setattr(solver, "_truncation_floor", lambda *args: floors.append(args[0]) or truncation_floor(*args))
+    with pytest.raises(NumericalError, match=_FLOOR) as info:
+        _grid_solve(6, split, b, eps, 64)
+    assert "line search" not in str(info.value)
+    return len(linearized), points, floors
 
 
 def test_a_failed_line_search_at_the_floor_reports_the_floor(monkeypatch):
-    # newton_grid seed 1 d6-k3-b0.45-p3 at N=64: the line search fails from an
-    # iterate inside [inner_tol, tol), which is the truncation's floor too
+    # newton_grid seed 1 d6-k3-b0.45-p3: three full steps are accepted at
+    # alpha = 1, and the fourth one's line search rejects alpha = 1 from an
+    # iterate inside [inner_tol, tol); that ends the solve, with no halving,
+    # at the iterate before the rejected trial
     b, eps = 0.30718294919856143 - 0.32884439438992125j, -0.0006543491135747826 + 0.0007561925929046755j
-    monkeypatch.setattr(solver, "STALL_STEPS", 10**6)  # only the line search can end it
-    with pytest.raises(NumericalError, match=_FLOOR) as info:
-        _grid_solve(6, False, b, eps, 64)
-    assert "line search" not in str(info.value)
+    jacobians, points, floors = _floor_without_closing_steps(monkeypatch, False, b, eps)
+    assert jacobians == 4 and len(points) == 5
+    assert len(floors) == 1 and floors[0] is points[-2]
+
+
+def test_an_accepted_step_that_cannot_halve_the_level_ends_the_solve(monkeypatch):
+    # newton_grid seed 8 d6-k4-b0.45-p1: the fourth full step is accepted at
+    # alpha = 1 but leaves more than half of a level inside [inner_tol, tol);
+    # the solve ends at the accepted iterate
+    b, eps = 0.3585679197996044 + 0.2718989644897245j, -0.0007019860373009068 + 0.0007121907072087997j
+    jacobians, points, floors = _floor_without_closing_steps(monkeypatch, True, b, eps)
+    assert jacobians == 4 and len(points) == 5
+    assert len(floors) == 1 and floors[0] is points[-1]
 
 
 def test_a_floor_on_undecayed_coefficients_reports_them(monkeypatch):
     # the seed-4 case of the under-resolution test at N=48 stops at its floor
-    # after five Jacobians (nine before); its coefficients have not decayed,
-    # and that is the report
+    # after three Jacobians, two closing steps and six operator evaluations;
+    # its coefficients have not decayed, and that is the report
     b, eps = 0.4006313092466119 + 0.20492572813423318j, -0.000640153662736693 + 0.0007682468926619856j
     linearized = _counting(monkeypatch, "_linearize")
+    closings = _counting(monkeypatch, "_closing_step")
+    evaluated = _counting(monkeypatch, "_operator_value")
     with pytest.raises(NumericalError, match="coefficients have not decayed"):
         _grid_solve(4, True, b, eps, 48)
-    assert len(linearized) <= 6
+    assert (len(linearized), len(closings), len(evaluated)) == (3, 2, 6)
 
 
 def test_a_stall_the_tails_do_not_explain_gets_no_advice_to_raise_n():
@@ -1399,16 +1432,36 @@ def test_a_converging_solve_closes_on_its_last_factor(monkeypatch):
 
 
 def test_closing_steps_that_miss_leave_the_stall_as_it_was(monkeypatch):
-    # two closing steps from below CLOSE_LEVEL miss inner_tol and are
-    # discarded; the solve stalls where and as it did without them
+    # a closing step from inside [inner_tol, tol) misses inner_tol and ends
+    # the solve at that level, with the report that full steps alone give
     closings = _counting(monkeypatch, "_closing_step")
     with pytest.raises(NumericalError) as info:
         _grid_solve(6, False, *_STALLS, 64)
-    assert len(closings) == 2
+    assert len(closings) == 1
     assert str(info.value) == (
         "series truncation too small: reduced residual stalls at 2.244e-11 above inner_tol 1.0e-11 at N = 64 "
         "(relative coefficient tails h 1.7e-10, g 2.5e-08); a larger N resolves the disc"
     )
+    monkeypatch.setattr(solver, "CLOSE_LEVEL", 0.0)
+    with pytest.raises(NumericalError) as full:
+        _grid_solve(6, False, *_STALLS, 64)
+    assert len(closings) == 1 and str(full.value) == str(info.value)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_a_converging_solve_through_the_band_is_left_alone(monkeypatch, n):
+    # newton_grid seed 1 d6-k4-b0.45-p1: the second full step lands inside
+    # [inner_tol, tol), having more than halved the level, and the closing
+    # step from there lands below inner_tol, at N=64 and at N=128
+    b, eps = -0.3904849836748755 - 0.2236548177983927j, 0.0001604905366428888 + 0.0009870373790531327j
+    linearized = _counting(monkeypatch, "_linearize")
+    closings = _counting(monkeypatch, "_closing_step")
+    evaluated = _counting(monkeypatch, "_operator_value")
+    result = _grid_solve(6, True, b, eps, n)
+    assert result.iterations == 3 and (len(linearized), len(closings), len(evaluated)) == (2, 1, 4)
+    third = {64: 1.0708e-11, 128: 1.0530e-11}[n]
+    assert result.history[:3] == pytest.approx([5.37004e-3, 6.17701e-6, third], rel=1e-4)
+    assert result.history[-1] < 1e-11 <= result.history[2] < 1e-9
 
 
 def test_the_stored_factor_holds_no_jacobian_and_goes_before_the_next_one(monkeypatch):
@@ -1435,7 +1488,7 @@ def test_the_stored_factor_holds_no_jacobian_and_goes_before_the_next_one(monkey
     monkeypatch.setattr(solver, "_h_only_step", recording_step)
     with pytest.raises(NumericalError, match="stalls"):
         _grid_solve(6, False, *_STALLS, 64)
-    assert len(jacobians) == 5 and len(factors) == 5
+    assert len(jacobians) == 3 and len(factors) == 3
 
 
 def test_newton_linearizations_fault_few_pages(monkeypatch):
